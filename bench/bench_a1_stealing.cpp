@@ -24,7 +24,9 @@ using namespace kompics;
 
 namespace {
 
-class Job : public Event {};
+class Job : public Event {
+  KOMPICS_EVENT(Job, Event);
+};
 
 class JobPort : public PortType {
  public:

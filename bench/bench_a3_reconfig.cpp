@@ -17,6 +17,8 @@ using namespace kompics;
 namespace {
 
 class Num : public Event {
+  KOMPICS_EVENT(Num, Event);
+
  public:
   explicit Num(int n) : n(n) {}
   int n;
@@ -42,6 +44,8 @@ class Source : public ComponentDefinition {
 class Relay : public ComponentDefinition {
  public:
   struct Gen : Init {
+    KOMPICS_EVENT(Gen, Init);
+
     explicit Gen(int g) : generation(g) {}
     int generation;
   };

@@ -16,6 +16,8 @@ using namespace kompics::net;
 namespace {
 
 class PayloadMsg : public Message {
+  KOMPICS_EVENT(PayloadMsg, Message);
+
  public:
   PayloadMsg(Address s, Address d, Bytes payload) : Message(s, d), payload(std::move(payload)) {}
   Bytes payload;

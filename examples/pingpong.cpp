@@ -12,6 +12,8 @@ using namespace kompics;
 
 // 1. Events: immutable typed objects (subtyping = C++ inheritance).
 class Ball : public Event {
+  KOMPICS_EVENT(Ball, Event);
+
  public:
   explicit Ball(int bounce) : bounce(bounce) {}
   int bounce;

@@ -15,6 +15,8 @@
 using namespace kompics;
 
 class Ball : public Event {
+  KOMPICS_EVENT(Ball, Event);
+
  public:
   explicit Ball(int bounce) : bounce(bounce) {}
   int bounce;

@@ -14,6 +14,8 @@
 using namespace kompics;
 
 class Chunk : public Event {
+  KOMPICS_EVENT(Chunk, Event);
+
  public:
   Chunk(int seq, char byte) : seq(seq), byte(byte) {}
   int seq;
@@ -41,6 +43,8 @@ class Source : public ComponentDefinition {
 class Codec : public ComponentDefinition {
  public:
   struct Mode : Init {
+    KOMPICS_EVENT(Mode, Init);
+
     explicit Mode(char key) : key(key) {}
     char key;  // 0 => rot13, else xor with key
   };

@@ -46,6 +46,8 @@ namespace kompics::cats {
 class ConsistentABD : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -127,6 +129,8 @@ class ConsistentABD : public ComponentDefinition {
   };
 
   struct ReconfigTick : timing::Timeout {
+    KOMPICS_EVENT(ReconfigTick, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

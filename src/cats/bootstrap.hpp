@@ -22,6 +22,8 @@ namespace kompics::cats {
 class BootstrapServer : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(Address self, CatsParams params) : self(self), params(params) {}
     Address self;
     CatsParams params;
@@ -34,6 +36,8 @@ class BootstrapServer : public ComponentDefinition {
 
  private:
   struct EvictionRound : timing::Timeout {
+    KOMPICS_EVENT(EvictionRound, timing::Timeout);
+
     using Timeout::Timeout;
   };
 
@@ -55,6 +59,8 @@ class BootstrapServer : public ComponentDefinition {
 class BootstrapClient : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, Address server, CatsParams params)
         : self(self), server(server), params(params) {}
     NodeRef self;

@@ -45,6 +45,8 @@ class CatsNode : public ComponentDefinition {
   Positive<timing::Timer> timer_ = require<timing::Timer>();
 
   struct JoinCheck : timing::Timeout {
+    KOMPICS_EVENT(JoinCheck, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

@@ -22,6 +22,8 @@ namespace kompics::cats {
 class CyclonOverlay : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -33,6 +35,8 @@ class CyclonOverlay : public ComponentDefinition {
 
  private:
   struct ShuffleRound : timing::Timeout {
+    KOMPICS_EVENT(ShuffleRound, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

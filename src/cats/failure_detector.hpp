@@ -22,6 +22,8 @@ namespace kompics::cats {
 class PingFailureDetector : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(Address self, CatsParams params) : self(self), params(params) {}
     Address self;
     CatsParams params;
@@ -46,6 +48,8 @@ class PingFailureDetector : public ComponentDefinition {
   };
 
   struct PingRound : timing::Timeout {
+    KOMPICS_EVENT(PingRound, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

@@ -28,6 +28,8 @@ namespace kompics::cats {
 class MonitorClient : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, Address server, CatsParams params)
         : self(self), server(server), params(params) {}
     NodeRef self;
@@ -39,9 +41,13 @@ class MonitorClient : public ComponentDefinition {
 
  private:
   struct ReportRound : timing::Timeout {
+    KOMPICS_EVENT(ReportRound, timing::Timeout);
+
     using Timeout::Timeout;
   };
   struct RoundClose : timing::Timeout {
+    KOMPICS_EVENT(RoundClose, timing::Timeout);
+
     RoundClose(timing::TimeoutId id, OpId round) : Timeout(id), round(round) {}
     OpId round;
   };
@@ -62,6 +68,8 @@ class MonitorClient : public ComponentDefinition {
 class MonitorServer : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     explicit Init(Address self, DurationMs stale_after_ms = 2000)
         : self(self), stale_after_ms(stale_after_ms) {}
     Address self;

@@ -26,6 +26,8 @@ namespace kompics::cats {
 class CatsRing : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -60,9 +62,13 @@ class CatsRing : public ComponentDefinition {
 
  private:
   struct StabilizeRound : timing::Timeout {
+    KOMPICS_EVENT(StabilizeRound, timing::Timeout);
+
     using Timeout::Timeout;
   };
   struct JoinRetry : timing::Timeout {
+    KOMPICS_EVENT(JoinRetry, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

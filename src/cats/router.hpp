@@ -30,6 +30,8 @@ namespace kompics::cats {
 class OneHopRouter : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;

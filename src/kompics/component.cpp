@@ -256,11 +256,35 @@ void ComponentCore::park(WorkItem* item, bool to_control) {
   (to_control ? parked_control_ : parked_normal_).push_back(item);
 }
 
+void ComponentCore::forward_retired(WorkItem* it) {
+  // When retired into a successor (§2.6), application events are forwarded
+  // to the matching port of the replacement instead of dropped.
+  ComponentCorePtr target;
+  {
+    std::lock_guard<std::mutex> g(structure_mu_);
+    target = forward_to_;
+  }
+  if (target != nullptr && !it->control && it->half != nullptr && it->half->owner() == this) {
+    PortPair* p = target->find_port(it->half->port_tid(), it->half->port_provided());
+    if (p != nullptr) {
+      PortCore* half = it->half->is_inside() ? p->inside.get() : p->outside.get();
+      target->enqueue_work(it->event, half, /*control=*/false);
+    }
+  }
+  work_item_pool().release(it);
+}
+
 ComponentCore::WorkItem* ComponentCore::next_item() {
   if (state() == LifecycleState::kDestroyed) {
-    // Drain one unit per call so bookkeeping stays exact. When retired into
-    // a successor (§2.6), application events are forwarded to the matching
-    // port of the replacement instead of dropped.
+    // Parked items already spent their tickets when they were parked, so
+    // forward (or drop) all of them now; then drain exactly one ticketed
+    // unit so the bookkeeping stays exact. retire_into() adds a ticket so a
+    // retired component always gets this run even if it parked its last
+    // queued item after going passive.
+    for (std::deque<WorkItem*>* parked : {&parked_control_, &parked_normal_}) {
+      for (WorkItem* it : *parked) forward_retired(it);
+      parked->clear();
+    }
     WorkItem* it = nullptr;
     if (!replay_control_.empty()) {
       it = replay_control_.front();
@@ -268,31 +292,10 @@ ComponentCore::WorkItem* ComponentCore::next_item() {
     } else if (!replay_normal_.empty()) {
       it = replay_normal_.front();
       replay_normal_.pop_front();
-    } else if (!parked_control_.empty()) {
-      it = parked_control_.front();
-      parked_control_.pop_front();
-    } else if (!parked_normal_.empty()) {
-      it = parked_normal_.front();
-      parked_normal_.pop_front();
     } else if ((it = control_q_.pop()) == nullptr) {
       it = normal_q_.pop();
     }
-    if (it != nullptr) {
-      ComponentCorePtr target;
-      {
-        std::lock_guard<std::mutex> g(structure_mu_);
-        target = forward_to_;
-      }
-      if (target != nullptr && !it->control && it->half != nullptr &&
-          it->half->owner() == this) {
-        PortPair* p = target->find_port(it->half->port_tid(), it->half->port_provided());
-        if (p != nullptr) {
-          PortCore* half = it->half->is_inside() ? p->inside.get() : p->outside.get();
-          target->enqueue_work(it->event, half, /*control=*/false);
-        }
-      }
-    }
-    work_item_pool().release(it);
+    if (it != nullptr) forward_retired(it);
     return nullptr;
   }
 
@@ -369,15 +372,9 @@ void ComponentCore::execute() {
 const std::vector<SubscriptionRef>& ComponentCore::matching_subs_cached(PortCore* half,
                                                                         const Event& e) {
   // Consumer-only (called from run_item under the single-consumer
-  // discipline), so match_cache_/scratch_subs_ need no lock.
+  // discipline), so match_cache_ needs no lock. Matching depends on the
+  // event's TypeId alone (event.hpp), so the id is an exact cache key.
   const EventTypeId eid = e.kompics_type_id();
-  if (!detail::type_id_is_exact(eid, e)) {
-    // The dynamic type is unregistered (it reports a registered ancestor's
-    // id, or the root id): a per-id cache entry would conflate distinct
-    // types, so re-match directly. scratch_subs_ keeps its capacity.
-    half->matching_subscriptions_into(this, e, scratch_subs_);
-    return scratch_subs_;
-  }
   // Epoch BEFORE scan (port.hpp contract): if a later lookup sees the same
   // epoch, the table cannot have changed since this entry was built.
   const std::uint64_t epoch = half->sub_epoch();
@@ -391,12 +388,12 @@ const std::vector<SubscriptionRef>& ComponentCore::matching_subs_cached(PortCore
     MatchEntry& fresh = match_cache_[MatchKey{half, eid}];
     fresh.epoch = epoch;
     fresh.valid = true;
-    half->matching_subscriptions_into(this, e, fresh.subs);
+    half->matching_subscriptions_into(this, eid, fresh.subs);
     return fresh.subs;
   }
   entry.epoch = epoch;
   entry.valid = true;
-  half->matching_subscriptions_into(this, e, entry.subs);
+  half->matching_subscriptions_into(this, eid, entry.subs);
   return entry.subs;
 }
 
@@ -642,6 +639,9 @@ void ComponentCore::retire_into(ComponentCorePtr successor) {
     forward_to_ = std::move(successor);
   }
   destroy_tree();
+  // Work this component parked while passive holds no ticket; one extra
+  // unit guarantees a destroyed-state run that forwards it (next_item).
+  bump(1);
 }
 
 void ComponentCore::destroy_tree() {

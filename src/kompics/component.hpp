@@ -175,10 +175,10 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
   void destroy_tree();
 
   /// §2.6 replacement support: destroys this component but forwards its
-  /// still-queued application events onto the matching ports of `successor`
-  /// instead of dropping them. (Control/life-cycle events are dropped;
-  /// events addressed to ports of this component's children are dropped
-  /// with the children.)
+  /// still-queued and parked application events onto the matching ports of
+  /// `successor` instead of dropping them. (Control/life-cycle events are
+  /// dropped; events addressed to ports of this component's children are
+  /// dropped with the children.)
   void retire_into(ComponentCorePtr successor);
 
   /// Called (thread-safely) by a child that finished its stop protocol.
@@ -237,6 +237,7 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
   void flush_passive_deferred();
   void drain_all_queues();
   void park(WorkItem* item, bool to_control);
+  void forward_retired(WorkItem* item);  // §2.6 retire: re-home or drop
 
   Runtime* runtime_;
   ComponentCore* parent_;
@@ -293,7 +294,6 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
   };
   static constexpr std::size_t kMatchCacheMax = 1024;
   std::unordered_map<MatchKey, MatchEntry, MatchKeyHash> match_cache_;  // consumer-only
-  std::vector<SubscriptionRef> scratch_subs_;                           // consumer-only
   std::atomic<LifecycleState> state_{LifecycleState::kPassive};
   std::atomic<bool> needs_init_{false};
   bool init_done_ = false;  // consumer-only
@@ -527,16 +527,11 @@ class ComponentDefinition {
  private:
   template <class E, class F>
   SubscriptionRef subscribe_impl(PortCore* half, F&& fn) {
-    static_assert(std::is_base_of_v<Event, E>, "E must derive from kompics::Event");
+    detail::require_registered<E>();
     auto sub = std::make_shared<Subscription>();
     sub->subscriber = core_;
     sub->half = half;
-    // Registered event types match by integer TypeId ancestor-walk; only
-    // unregistered ones pay the RTTI predicate (event.hpp).
-    sub->event_type = detail::static_type_id_or_invalid<E>();
-    if (sub->event_type == kEventTypeInvalid) {
-      sub->rtti_accepts = [](const Event& e) { return event_is<E>(e); };
-    }
+    sub->event_type = E::kompics_static_type_id();
     sub->invoke = [f = std::function<void(const E&)>(std::forward<F>(fn))](const Event& e) {
       f(event_as<E>(e));
     };

@@ -4,13 +4,12 @@
 // immutable, typed objects. Subtyping of events maps onto C++ inheritance
 // from kompics::Event; handler and port-type matching use the event *type
 // registry* below — each registered Event subclass carries a small integer
-// TypeId with a precomputed ancestor chain, so subtype checks on the
-// dispatch hot path are integer parent-walks instead of dynamic_cast.
-// Unregistered event types keep the RTTI fallback, so plain `class X :
-// public Event {}` declarations continue to work unchanged.
+// TypeId with a precomputed ancestor chain, so every subtype check is an
+// integer parent-walk.
 //
-// Registering a type (opt-in, recommended for every event that crosses the
-// dispatch hot path):
+// Registration is mandatory for every *match target*: a type subscribed to,
+// declared on a port type, tested with event_is, or named as a
+// KOMPICS_EVENT base fails to compile unless it registered itself:
 //
 //   class Tick : public Event {
 //     KOMPICS_EVENT(Tick, Event);
@@ -22,13 +21,17 @@
 // a registered subtype). Registration is lazy, thread-safe, idempotent and
 // process-wide: the same type defined in a header and used from many
 // translation units gets exactly one TypeId.
+//
+// An unregistered leaf class can still be constructed and triggered: it
+// reports its nearest registered ancestor's TypeId. Since every target is
+// registered, matching on that id gives exactly dynamic_cast's answer
+// under single inheritance.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <type_traits>
-#include <typeinfo>
 
 #include "debug.hpp"
 
@@ -39,7 +42,7 @@ class Event;
 /// Small dense integer identifying a registered event type.
 using EventTypeId = std::uint32_t;
 
-/// Sentinel: "this type is not registered" (subscriptions fall back to RTTI).
+/// Sentinel: never assigned to a type; the root's registry parent.
 inline constexpr EventTypeId kEventTypeInvalid = 0;
 /// TypeId of the root of the hierarchy, kompics::Event itself.
 inline constexpr EventTypeId kEventTypeRoot = 1;
@@ -55,31 +58,20 @@ inline constexpr std::size_t kMaxEventTypes = 4096;
 struct EventTypeInfo {
   EventTypeId parent = kEventTypeInvalid;
   const char* name = "";
-  const std::type_info* ti = nullptr;  ///< dynamic-type exactness checks
 };
 
 // Registry storage. Entries are immutable once published; an id only
 // escapes the registering thread through a function-local static whose
 // guard provides the release/acquire edge, so readers never race writers.
-inline EventTypeInfo g_event_types[kMaxEventTypes]{};
+inline EventTypeInfo g_event_types[kMaxEventTypes]{{}, {kEventTypeInvalid, "kompics::Event"}};
 inline std::atomic<EventTypeId> g_event_type_count{2};  // 0 invalid, 1 root
 inline std::mutex g_event_type_mu;
 
-inline void ensure_root_registered_locked(const std::type_info& root_ti) {
-  if (g_event_types[kEventTypeRoot].ti == nullptr) {
-    g_event_types[kEventTypeRoot] =
-        EventTypeInfo{kEventTypeInvalid, "kompics::Event", &root_ti};
-  }
-}
-
-inline EventTypeId allocate_event_type(EventTypeId parent, const char* name,
-                                       const std::type_info& ti,
-                                       const std::type_info& root_ti) {
+inline EventTypeId allocate_event_type(EventTypeId parent, const char* name) {
   std::lock_guard<std::mutex> g(g_event_type_mu);
-  ensure_root_registered_locked(root_ti);
   const EventTypeId id = g_event_type_count.load(std::memory_order_relaxed);
   KOMPICS_ASSERT(id < kMaxEventTypes, "event type registry full (kMaxEventTypes)");
-  g_event_types[id] = EventTypeInfo{parent, name, &ti};
+  g_event_types[id] = EventTypeInfo{parent, name};
   g_event_type_count.store(id + 1, std::memory_order_release);
   return id;
 }
@@ -96,11 +88,6 @@ inline bool is_ancestor(EventTypeId ancestor, EventTypeId derived) {
   return false;
 }
 
-/// True when `id` names exactly the dynamic type of `e` — i.e. the reported
-/// id is not merely an inherited ancestor id from an unregistered subclass.
-/// Per-type caches may only be keyed by exact ids.
-bool type_id_is_exact(EventTypeId id, const Event& e);
-
 /// Detects types that registered *themselves* via KOMPICS_EVENT (the
 /// KompicsSelfType typedef is inherited, so compare it against E).
 template <class E, class = void>
@@ -110,6 +97,16 @@ struct is_self_registered<E, std::void_t<typename E::KompicsSelfType>>
     : std::bool_constant<std::is_same_v<typename E::KompicsSelfType, E>> {};
 template <class E>
 inline constexpr bool is_self_registered_v = is_self_registered<E>::value;
+
+/// Compile-time precondition of every match target (subscribe, port-type
+/// declarations, event_is, and the Base of KOMPICS_EVENT).
+template <class E>
+constexpr void require_registered() {
+  static_assert(std::is_base_of_v<Event, E>, "E must derive from kompics::Event");
+  static_assert(is_self_registered_v<E>,
+                "event type is not registered: add KOMPICS_EVENT(Type, Base) to its class "
+                "body before using it as a match target");
+}
 
 template <class E, class Base>
 EventTypeId register_event_type(const char* name);
@@ -180,31 +177,14 @@ namespace detail {
 
 template <class E, class Base>
 EventTypeId register_event_type(const char* name) {
-  static_assert(std::is_base_of_v<Event, Base>, "Base must derive from kompics::Event");
+  require_registered<Base>();
   static_assert(std::is_base_of_v<Base, E>, "Base must be a base class of E");
   static_assert(!std::is_same_v<E, Base>, "an event type cannot be its own base");
   // Registering the parent first (recursively, through its own static-id
   // hook) guarantees every ancestor entry is published before this id
-  // escapes. When Base is itself unregistered this yields Base's nearest
-  // registered ancestor, which keeps ancestor checks sound (the skipped,
-  // unregistered middle types match via the RTTI fallback anyway).
+  // escapes.
   const EventTypeId parent = Base::kompics_static_type_id();
-  return allocate_event_type(parent, name, typeid(E), typeid(Event));
-}
-
-inline bool type_id_is_exact(EventTypeId id, const Event& e) {
-  const std::type_info* ti = g_event_types[id].ti;
-  return ti != nullptr && *ti == typeid(e);
-}
-
-/// E's registered TypeId, or kEventTypeInvalid when E never registered.
-template <class E>
-EventTypeId static_type_id_or_invalid() {
-  if constexpr (is_self_registered_v<E>) {
-    return E::kompics_static_type_id();
-  } else {
-    return kEventTypeInvalid;
-  }
+  return allocate_event_type(parent, name);
 }
 
 }  // namespace detail
@@ -219,19 +199,12 @@ EventPtr make_event(Args&&... args) {
   return std::make_shared<const E>(std::forward<Args>(args)...);
 }
 
-/// True when the dynamic type of `e` is E or a subtype of E. Registered
-/// types resolve via an integer ancestor-walk; unregistered ones keep the
-/// RTTI check (exactly dynamic_cast's answer under single inheritance).
+/// True when the dynamic type of `e` is E or a subtype of E (an integer
+/// ancestor-walk; E must be registered).
 template <class E>
 bool event_is(const Event& e) {
-  static_assert(std::is_base_of_v<Event, E>, "E must derive from kompics::Event");
-  if constexpr (std::is_same_v<E, Event>) {
-    return true;
-  } else if constexpr (detail::is_self_registered_v<E>) {
-    return detail::is_ancestor(E::kompics_static_type_id(), e.kompics_type_id());
-  } else {
-    return dynamic_cast<const E*>(&e) != nullptr;
-  }
+  detail::require_registered<E>();
+  return detail::is_ancestor(E::kompics_static_type_id(), e.kompics_type_id());
 }
 
 /// Downcast helper used after a successful event_is / accepts check.

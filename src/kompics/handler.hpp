@@ -45,32 +45,21 @@ class Handler {
 /// Runtime representation of one subscription: binds an accepted event type
 /// and an invoker to (subscriber component, port half). Created by
 /// ComponentDefinition::subscribe and kept alive by the port's subscription
-/// table. For events in the type registry the accept check is an integer
-/// ancestor-walk on `event_type`; subscriptions for unregistered event
-/// types carry the RTTI fallback predicate instead.
+/// table. The accept check is an integer ancestor-walk from the event's
+/// TypeId up to `event_type` (the subscribed type is always registered —
+/// see event.hpp).
 struct Subscription {
   ComponentCore* subscriber = nullptr;
   PortCore* half = nullptr;
-  /// TypeId of the subscribed event type; kEventTypeInvalid when the type
-  /// is unregistered (then `rtti_accepts` decides).
-  EventTypeId event_type = kEventTypeInvalid;
-  std::function<bool(const Event&)> rtti_accepts;
+  EventTypeId event_type = kEventTypeRoot;  ///< TypeId of the subscribed type
   std::function<void(const Event&)> invoke;
   // Cleared under the port's writer lock by unsubscribe but also read
   // lock-free by the executing worker (ComponentCore::run_item), hence
   // atomic.
   std::atomic<bool> active{true};
 
-  bool accepts(const Event& e) const {
-    return event_type != kEventTypeInvalid
-               ? detail::is_ancestor(event_type, e.kompics_type_id())
-               : rtti_accepts(e);
-  }
-  /// Hot-path variant when the caller already fetched the event's TypeId.
-  bool accepts(const Event& e, EventTypeId eid) const {
-    return event_type != kEventTypeInvalid ? detail::is_ancestor(event_type, eid)
-                                           : rtti_accepts(e);
-  }
+  /// True when an event reporting TypeId `eid` matches this subscription.
+  bool accepts(EventTypeId eid) const { return detail::is_ancestor(event_type, eid); }
 };
 
 using SubscriptionRef = std::shared_ptr<Subscription>;

@@ -107,7 +107,7 @@ std::size_t PortCore::dispatch(const EventPtr& e) {
     const EventTypeId eid = e->kompics_type_id();
     const auto snap = subs_.acquire();
     for (const auto& s : snap->subs) {
-      if (!s->active.load(std::memory_order_acquire) || !s->accepts(*e, eid)) continue;
+      if (!s->active.load(std::memory_order_acquire) || !s->accepts(eid)) continue;
       ++matches;
       targets.insert(s->subscriber);
     }
@@ -128,7 +128,7 @@ bool PortCore::has_match(const Event& e) const {
   const EventTypeId eid = e.kompics_type_id();
   const auto snap = subs_.acquire();
   for (const auto& s : snap->subs) {
-    if (s->active.load(std::memory_order_acquire) && s->accepts(e, eid)) return true;
+    if (s->active.load(std::memory_order_acquire) && s->accepts(eid)) return true;
   }
   return false;
 }
@@ -163,21 +163,13 @@ void PortCore::remove_subscription(const SubscriptionRef& s) {
   sub_epoch_.fetch_add(1, std::memory_order_release);
 }
 
-std::vector<SubscriptionRef> PortCore::matching_subscriptions(ComponentCore* subscriber,
-                                                              const Event& e) const {
-  std::vector<SubscriptionRef> out;
-  matching_subscriptions_into(subscriber, e, out);
-  return out;
-}
-
-void PortCore::matching_subscriptions_into(ComponentCore* subscriber, const Event& e,
+void PortCore::matching_subscriptions_into(ComponentCore* subscriber, EventTypeId eid,
                                            std::vector<SubscriptionRef>& out) const {
   out.clear();
-  const EventTypeId eid = e.kompics_type_id();
   const auto snap = subs_.acquire();
   for (const auto& s : snap->subs) {
     if (s->subscriber == subscriber && s->active.load(std::memory_order_acquire) &&
-        s->accepts(e, eid)) {
+        s->accepts(eid)) {
       out.push_back(s);
     }
   }

@@ -110,16 +110,13 @@ class PortCore {
   /// sound cache validity token: equal epoch later implies same table.
   std::uint64_t sub_epoch() const { return sub_epoch_.load(std::memory_order_acquire); }
 
-  /// Snapshot of the active subscriptions held by `subscriber` that accept
-  /// `e` — taken at execution time so that (un)subscribe during handling
-  /// behaves as in the paper (a handler that unsubscribes itself still
-  /// finishes the current event, but handles no further ones).
-  std::vector<SubscriptionRef> matching_subscriptions(ComponentCore* subscriber,
-                                                      const Event& e) const;
-
-  /// Same, appending into `out` (cleared first) — lets the executing
-  /// worker's match cache reuse its vector capacity across events.
-  void matching_subscriptions_into(ComponentCore* subscriber, const Event& e,
+  /// Snapshot, into `out` (cleared first), of the active subscriptions held
+  /// by `subscriber` that accept events of TypeId `eid` — taken at
+  /// execution time so that (un)subscribe during handling behaves as in the
+  /// paper (a handler that unsubscribes itself still finishes the current
+  /// event, but handles no further ones). Reusing `out` keeps the match
+  /// cache's vector capacity.
+  void matching_subscriptions_into(ComponentCore* subscriber, EventTypeId eid,
                                    std::vector<SubscriptionRef>& out) const;
 
   void attach_channel(const ChannelRef& c);

@@ -14,15 +14,12 @@
 // by the runtime for fast dynamic event filtering (mirroring the Java
 // implementation's singleton port-type objects).
 //
-// `allows` is on the trigger hot path. For event types in the registry
-// (KOMPICS_EVENT) the check is an integer ancestor-walk whose result is
-// memoized per (port type, direction, event TypeId) in a flat byte array —
-// after the first event of a type, one load + compare. Entries declared
-// with *unregistered* event types keep the RTTI check; their verdicts
-// depend on the dynamic type rather than the (possibly inherited) TypeId,
-// so they are evaluated per event and never memoized.
+// Declared event types must be registered (KOMPICS_EVENT; a compile-time
+// check). `allows` is on the trigger hot path: an integer ancestor-walk
+// whose verdict is memoized per (port type, direction, event TypeId) in a
+// flat byte array — after the first event of a type, one load + compare.
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <typeinfo>
@@ -49,13 +46,11 @@ class PortType {
   /// True when an event of e's dynamic type may pass in direction d.
   bool allows(Direction d, const Event& e) const {
     const Side& side = d == Direction::kPositive ? positive_ : negative_;
+    if (side.memo == nullptr) return false;  // nothing declared this way
     const EventTypeId eid = e.kompics_type_id();
-    if (side.memo != nullptr) {
-      const std::uint8_t m = side.memo[eid].load(std::memory_order_relaxed);
-      if (m == kMemoAllowed) return true;
-      if (m == kMemoDenied && side.rtti_entries.empty()) return false;
-    }
-    return allows_slow(side, eid, e);
+    const std::uint8_t m = side.memo[eid].load(std::memory_order_relaxed);
+    if (m != kMemoUnknown) return m == kMemoAllowed;
+    return allows_slow(side, eid);
   }
 
   const std::string& name() const { return name_; }
@@ -106,53 +101,31 @@ class PortType {
   static constexpr std::uint8_t kMemoAllowed = 1;
   static constexpr std::uint8_t kMemoDenied = 2;
 
-  struct RttiEntry {
-    std::function<bool(const Event&)> check;
-    const char* type_name;
-  };
-
   struct Side {
-    std::vector<EventTypeId> registered_ids;  ///< entries with a TypeId
-    std::vector<RttiEntry> rtti_entries;      ///< unregistered entries
-    std::vector<const char*> type_names;      ///< all entries, for diagnostics
-    /// Verdict memo indexed by event TypeId; covers the registered entries
-    /// only (RTTI entries are per-dynamic-type and bypass it). Allocated on
-    /// first declaration — singleton port types declare in their
-    /// constructor, strictly before any allows().
+    std::vector<EventTypeId> ids;          ///< declared event types
+    std::vector<const char*> type_names;   ///< same entries, for diagnostics
+    /// Verdict memo indexed by event TypeId. Allocated on first declaration
+    /// — singleton port types declare in their constructor, strictly before
+    /// any allows().
     std::unique_ptr<std::atomic<std::uint8_t>[]> memo;
   };
 
   template <class E>
   void declare(Side& side) {
-    static_assert(std::is_base_of_v<Event, E>, "E must derive from kompics::Event");
+    detail::require_registered<E>();
     side.type_names.push_back(typeid(E).name());
     if (side.memo == nullptr) {
       side.memo = std::make_unique<std::atomic<std::uint8_t>[]>(detail::kMaxEventTypes);
     }
-    const EventTypeId id = detail::static_type_id_or_invalid<E>();
-    if (id != kEventTypeInvalid || std::is_same_v<E, Event>) {
-      side.registered_ids.push_back(id == kEventTypeInvalid ? kEventTypeRoot : id);
-    } else {
-      side.rtti_entries.push_back(
-          RttiEntry{[](const Event& e) { return event_is<E>(e); }, typeid(E).name()});
-    }
+    side.ids.push_back(E::kompics_static_type_id());
   }
 
-  bool allows_slow(const Side& side, EventTypeId eid, const Event& e) const {
-    for (const EventTypeId id : side.registered_ids) {
-      if (detail::is_ancestor(id, eid)) {
-        side.memo[eid].store(kMemoAllowed, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    // The registered entries reject every event reporting this TypeId
-    // (sound even for unregistered dynamic types, which report their
-    // nearest registered ancestor's id — see event.hpp).
-    if (side.memo != nullptr) side.memo[eid].store(kMemoDenied, std::memory_order_relaxed);
-    for (const RttiEntry& entry : side.rtti_entries) {
-      if (entry.check(e)) return true;
-    }
-    return false;
+  bool allows_slow(const Side& side, EventTypeId eid) const {
+    const bool allowed = std::any_of(side.ids.begin(), side.ids.end(), [eid](EventTypeId id) {
+      return detail::is_ancestor(id, eid);
+    });
+    side.memo[eid].store(allowed ? kMemoAllowed : kMemoDenied, std::memory_order_relaxed);
+    return allowed;
   }
 
   Side positive_;

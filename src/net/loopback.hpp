@@ -60,6 +60,8 @@ using LoopbackHubPtr = std::shared_ptr<LoopbackHub>;
 class LoopbackNetwork : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(Address self, LoopbackHubPtr hub, bool exercise_codec = false, bool compress = false)
         : self(self), hub(std::move(hub)), exercise_codec(exercise_codec), compress(compress) {}
     Address self;

@@ -36,6 +36,8 @@ class TcpNetwork : public ComponentDefinition {
   };
 
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     explicit Init(Address self) : self(self) {}
     Init(Address self, Options opts) : self(self), options(opts) {}
     Address self;

@@ -129,6 +129,8 @@ using SimNetworkHubPtr = std::shared_ptr<SimNetworkHub>;
 class NetworkEmulator : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(net::Address self, SimNetworkHubPtr hub) : self(self), hub(std::move(hub)) {}
     net::Address self;
     SimNetworkHubPtr hub;

@@ -16,6 +16,8 @@ namespace kompics::sim {
 class SimTimer : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     explicit Init(SimulatorCore* core) : core(core) {}
     SimulatorCore* core;
   };

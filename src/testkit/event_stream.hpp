@@ -55,14 +55,10 @@ namespace kompics::testkit {
 
 class TestContext;
 
-/// Best-effort human name of an event's dynamic type (registered types
-/// report their KOMPICS_EVENT name; unregistered ones the mangled RTTI one).
+/// KOMPICS_EVENT name of an event's type (an unregistered leaf class
+/// reports its nearest registered ancestor's name).
 inline const char* event_type_name(const Event& e) {
-  const EventTypeId id = e.kompics_type_id();
-  if (id != kEventTypeInvalid && kompics::detail::type_id_is_exact(id, e)) {
-    return kompics::detail::g_event_types[id].name;
-  }
-  return typeid(e).name();
+  return kompics::detail::g_event_types[e.kompics_type_id()].name;
 }
 
 /// The probe: root component owning the CUT (and any attached satellites,
@@ -315,11 +311,7 @@ class TestContext {
 
   template <class E>
   static const char* type_label() {
-    if constexpr (kompics::detail::is_self_registered_v<E>) {
-      return kompics::detail::g_event_types[E::kompics_static_type_id()].name;
-    } else {
-      return typeid(E).name();
-    }
+    return kompics::detail::g_event_types[E::kompics_static_type_id()].name;
   }
 
   template <class E, class F>

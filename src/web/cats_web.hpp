@@ -6,6 +6,8 @@
 // users/developers to browse the set of nodes over the web and inspect the
 // state of each remote node" (§4.1).
 //
+// Routes: `/` (the status page) and `/metrics`; every other path is 404.
+//
 // The app keeps a periodically refreshed cache of StatusResponses (its
 // required Status port is connected to every functional component of the
 // node) and serves pages from the cache, so HTTP worker threads never wait
@@ -27,6 +29,8 @@ namespace kompics::web {
 class CatsWebApp : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     Init(cats::NodeRef self, DurationMs refresh_ms = 1000) : self(self), refresh_ms(refresh_ms) {}
     cats::NodeRef self;
     DurationMs refresh_ms;
@@ -57,7 +61,12 @@ class CatsWebApp : public ComponentDefinition {
                 web_);
         return;
       }
-      trigger(make_event<WebResponse>(req.id, 200, "text/html", render(req.path)), web_);
+      if (req.path != "/") {
+        trigger(make_event<WebResponse>(req.id, 404, "text/plain", "not found: " + req.path),
+                web_);
+        return;
+      }
+      trigger(make_event<WebResponse>(req.id, 200, "text/html", render()), web_);
     });
   }
 
@@ -85,12 +94,11 @@ class CatsWebApp : public ComponentDefinition {
     return out;
   }
 
-  std::string render(const std::string& path) const {
+  std::string render() const {
     std::string html = "<html><head><title>CATS node " +
                        std::to_string(self_.addr.host) + "</title></head><body>";
     html += "<h1>CATS node " + self_.addr.to_node_string() + "</h1>";
     html += "<p>ring key: " + cats::ring_key_str(self_.key) + "</p>";
-    html += "<p>path: " + path + "</p>";
     for (const auto& [component, fields] : cache_) {
       html += "<h2>" + component + "</h2><table border=1>";
       for (const auto& [k, v] : fields) {
@@ -104,6 +112,8 @@ class CatsWebApp : public ComponentDefinition {
 
  private:
   struct Refresh : timing::Timeout {
+    KOMPICS_EVENT(Refresh, timing::Timeout);
+
     using Timeout::Timeout;
   };
 

@@ -26,6 +26,8 @@ namespace kompics::web {
 class HttpServer : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     explicit Init(net::Address listen, DurationMs request_timeout_ms = 2000,
                   bool telemetry_endpoints = true)
         : listen(listen),

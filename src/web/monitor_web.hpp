@@ -11,6 +11,7 @@
 //   /trace/<id>  merged causal tree for trace <id> (JSON)
 //   /metrics     cluster rollup; HttpServer prepends the kernel's own text
 //   /            the global view, as render_text()
+// Every other path is 404.
 
 #include <cstdint>
 #include <cstdlib>
@@ -26,6 +27,8 @@ namespace kompics::web {
 class MonitorWebApp : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(Init, kompics::Init);
+
     explicit Init(cats::MonitorServer* server) : server(server) {}
     /// Must outlive this component (both normally live under one parent).
     cats::MonitorServer* server;
@@ -60,6 +63,11 @@ class MonitorWebApp : public ComponentDefinition {
       if (req.path == "/metrics") {
         trigger(make_event<WebResponse>(req.id, 200, "text/plain; version=0.0.4",
                                         server_->render_cluster_metrics()),
+                web_);
+        return;
+      }
+      if (req.path != "/") {
+        trigger(make_event<WebResponse>(req.id, 404, "text/plain", "not found: " + req.path),
                 web_);
         return;
       }

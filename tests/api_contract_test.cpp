@@ -10,8 +10,12 @@
 namespace kompics::test {
 namespace {
 
-class EvA : public Event {};
-class EvB : public Event {};
+class EvA : public Event {
+  KOMPICS_EVENT(EvA, Event);
+};
+class EvB : public Event {
+  KOMPICS_EVENT(EvB, Event);
+};
 
 class PortA : public PortType {
  public:

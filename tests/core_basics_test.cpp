@@ -19,6 +19,8 @@ struct Address {
 };
 
 class Message : public Event {
+  KOMPICS_EVENT(Message, Event);
+
  public:
   Message(int src, int dst) : source(src), destination(dst) {}
   int source;
@@ -26,6 +28,8 @@ class Message : public Event {
 };
 
 class DataMessage : public Message {
+  KOMPICS_EVENT(DataMessage, Message);
+
  public:
   DataMessage(int src, int dst, int seq) : Message(src, dst), sequence(seq) {}
   int sequence;

@@ -13,6 +13,8 @@ namespace kompics::test {
 namespace {
 
 class Poke : public Event {
+  KOMPICS_EVENT(Poke, Event);
+
  public:
   explicit Poke(int n) : n(n) {}
   int n;
@@ -33,6 +35,8 @@ std::unique_ptr<Runtime> make_runtime() { return Runtime::threaded(Config{}, 2, 
 class NeedsInit : public ComponentDefinition {
  public:
   struct MyInit : Init {
+    KOMPICS_EVENT(MyInit, Init);
+
     explicit MyInit(int parameter) : parameter(parameter) {}
     int parameter;
   };

@@ -14,6 +14,8 @@ namespace kompics::test {
 namespace {
 
 class Num : public Event {
+  KOMPICS_EVENT(Num, Event);
+
  public:
   explicit Num(int n) : n(n) {}
   int n;
@@ -164,6 +166,8 @@ TEST(Channels, DisconnectDropsSubsequentTraffic) {
 class Relay : public ComponentDefinition {
  public:
   struct SetDelta : Init {
+    KOMPICS_EVENT(SetDelta, Init);
+
     explicit SetDelta(int d) : delta(d) {}
     int delta;
   };

@@ -131,6 +131,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KzRandomRoundTrip, ::testing::Range(0, 25));
 // ---- serialization registry -------------------------------------------------
 
 class TestPing : public Message {
+  KOMPICS_EVENT(TestPing, Message);
+
  public:
   TestPing(Address s, Address d, std::uint64_t n, std::string text)
       : Message(s, d), n(n), text(std::move(text)) {}

@@ -14,16 +14,22 @@ namespace kompics::test {
 namespace {
 
 class Req : public Event {
+  KOMPICS_EVENT(Req, Event);
+
  public:
   explicit Req(int n) : n(n) {}
   int n;
 };
 class Ind : public Event {
+  KOMPICS_EVENT(Ind, Event);
+
  public:
   explicit Ind(int n) : n(n) {}
   int n;
 };
 class SpecialInd : public Ind {
+  KOMPICS_EVENT(SpecialInd, Ind);
+
  public:
   explicit SpecialInd(int n) : Ind(n) {}
 };

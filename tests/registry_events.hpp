@@ -40,39 +40,18 @@ class OtherEv : public BaseEv {
   using BaseEv::BaseEv;
 };
 
-// UNREGISTERED subclass of a registered type: reports MidEv's TypeId and
-// must still behave exactly like dynamic_cast everywhere.
+// UNREGISTERED leaf of a registered type. It can be constructed and
+// triggered (it cannot be a match target), reports MidEv's TypeId, and must
+// match every registered target exactly as dynamic_cast would.
 class PlainLeaf : public MidEv {
  public:
   using MidEv::MidEv;
-};
-
-// Fully unregistered chain: both report the root id.
-class PlainBase : public Event {
- public:
-  explicit PlainBase(int v = 0) : v(v) {}
-  int v;
-};
-
-class PlainDerived : public PlainBase {
- public:
-  using PlainBase::PlainBase;
-};
-
-// Registered type whose declared base is unregistered: its registry parent
-// collapses to PlainBase's nearest registered ancestor (the root).
-class SkipMid : public PlainBase {
-  KOMPICS_EVENT(SkipMid, PlainBase);
-
- public:
-  using PlainBase::PlainBase;
 };
 
 // TypeIds as observed by the OTHER translation unit.
 EventTypeId tu2_base_id();
 EventTypeId tu2_mid_id();
 EventTypeId tu2_leaf_id();
-EventTypeId tu2_skip_mid_id();
 bool tu2_event_is_mid(const Event& e);
 
 }  // namespace kompics::test::reg

@@ -80,7 +80,9 @@ TEST(MpscQueue, MultiProducerDeliversEverythingInPerProducerOrder) {
 
 // ---- handler mutual exclusion (§3) -----------------------------------------
 
-class Tick : public Event {};
+class Tick : public Event {
+  KOMPICS_EVENT(Tick, Event);
+};
 class TickPort : public PortType {
  public:
   TickPort() {

@@ -75,6 +75,8 @@ TEST(SimulationEdge, RunUntilAdvancesClockThroughEmptyWindows) {
 // ---- SimTimer edges -----------------------------------------------------------
 
 struct Tk : timing::Timeout {
+  KOMPICS_EVENT(Tk, timing::Timeout);
+
   using Timeout::Timeout;
 };
 
@@ -133,6 +135,8 @@ TEST(SimTimerEdge, ZeroPeriodIsClampedNotInfinite) {
 // ---- emulator edges --------------------------------------------------------------
 
 class Echo : public Message {
+  KOMPICS_EVENT(Echo, Message);
+
  public:
   Echo(Address s, Address d, int n) : Message(s, d), n(n) {}
   int n;

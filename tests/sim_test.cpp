@@ -63,6 +63,8 @@ TEST(SimulatorCore, ActionsCanScheduleMoreActions) {
 // ---- SimTimer through a consumer component ---------------------------------
 
 struct TickTimeout : timing::Timeout {
+  KOMPICS_EVENT(TickTimeout, timing::Timeout);
+
   using Timeout::Timeout;
 };
 
@@ -125,6 +127,8 @@ TEST(SimTimer, PeriodicFiresUntilCancelled) {
 // ---- network emulator -------------------------------------------------------
 
 class SimPing : public Message {
+  KOMPICS_EVENT(SimPing, Message);
+
  public:
   SimPing(Address s, Address d, int n) : Message(s, d), n(n) {}
   int n;

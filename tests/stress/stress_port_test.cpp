@@ -19,8 +19,12 @@
 namespace kompics::test {
 namespace {
 
-class Tick : public Event {};
+class Tick : public Event {
+  KOMPICS_EVENT(Tick, Event);
+};
 class Churn : public Event {
+  KOMPICS_EVENT(Churn, Event);
+
  public:
   explicit Churn(bool add) : add(add) {}
   bool add;

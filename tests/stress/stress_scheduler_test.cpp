@@ -19,7 +19,9 @@
 namespace kompics::test {
 namespace {
 
-class Tick : public Event {};
+class Tick : public Event {
+  KOMPICS_EVENT(Tick, Event);
+};
 class TickPort : public PortType {
  public:
   TickPort() {

@@ -22,6 +22,8 @@ namespace kompics::net::test {
 namespace {
 
 class Blob : public Message {
+  KOMPICS_EVENT(Blob, Message);
+
  public:
   Blob(Address s, Address d, std::uint64_t seq, Bytes payload)
       : Message(s, d), seq(seq), payload(std::move(payload)) {}

@@ -21,6 +21,8 @@ namespace kompics::timing::test {
 namespace {
 
 struct Beep : Timeout {
+  KOMPICS_EVENT(Beep, Timeout);
+
   explicit Beep(TimeoutId id) : Timeout(id) {}
 };
 

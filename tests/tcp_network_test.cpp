@@ -19,6 +19,8 @@ namespace {
 
 // Test message with variable-size payload.
 class Blob : public Message {
+  KOMPICS_EVENT(Blob, Message);
+
  public:
   Blob(Address s, Address d, std::uint64_t seq, Bytes payload)
       : Message(s, d), seq(seq), payload(std::move(payload)) {}

@@ -62,6 +62,8 @@ class Echo : public ComponentDefinition {
 
  private:
   struct DelayedPong : timing::Timeout {
+    KOMPICS_EVENT(DelayedPong, timing::Timeout);
+
     DelayedPong(timing::TimeoutId id, int n) : Timeout(id), n(n) {}
     int n;
   };

@@ -14,6 +14,8 @@ namespace kompics::timing::test {
 namespace {
 
 struct Beep : Timeout {
+  KOMPICS_EVENT(Beep, Timeout);
+
   Beep(TimeoutId id, int tag) : Timeout(id), tag(tag) {}
   int tag;
 };

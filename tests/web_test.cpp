@@ -1,5 +1,6 @@
 // Web substrate tests: the embedded HttpServer (Jetty stand-in) bridging a
-// raw TCP client to the Web port, and the CatsWebApp status page.
+// raw TCP client to the Web port, and the routes of the CatsWebApp status
+// page and the MonitorWebApp cluster view.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "timing/thread_timer.hpp"
 #include "web/cats_web.hpp"
 #include "web/http_server.hpp"
+#include "web/monitor_web.hpp"
 
 namespace kompics::web::test {
 namespace {
@@ -159,10 +161,23 @@ TEST(CatsWebApp, RendersComponentStatusTables) {
   // Give the refresh timer a moment to pull status.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   auto& server = main.definition_as<CatsWebMain>().server.definition_as<HttpServer>();
-  const std::string reply = http_get(0x7f000001, server.port(), "/status");
+  const std::string reply = http_get(0x7f000001, server.port(), "/");
+  EXPECT_NE(reply.find("HTTP/1.0 200"), std::string::npos) << reply;
   EXPECT_NE(reply.find("FakeComponent"), std::string::npos);
   EXPECT_NE(reply.find("fortytwo"), std::string::npos);
   EXPECT_NE(reply.find("node-7"), std::string::npos);
+}
+
+TEST(CatsWebApp, UnknownPathsAre404) {
+  auto rt = Runtime::threaded(Config{}, 2, 1);
+  auto main = rt->bootstrap<CatsWebMain>(net::Address::loopback(0));
+  rt->await_quiescence();
+  auto& server = main.definition_as<CatsWebMain>().server.definition_as<HttpServer>();
+  for (const char* path : {"/status", "/metrics/extra", "/index.html"}) {
+    const std::string reply = http_get(0x7f000001, server.port(), path);
+    EXPECT_NE(reply.find("HTTP/1.0 404"), std::string::npos) << path << "\n" << reply;
+    EXPECT_EQ(reply.find("FakeComponent"), std::string::npos) << path;
+  }
 }
 
 TEST(CatsWebApp, ServesProtocolCountersAsPrometheusMetrics) {
@@ -179,6 +194,36 @@ TEST(CatsWebApp, ServesProtocolCountersAsPrometheusMetrics) {
   EXPECT_NE(reply.find("cats_fakecomponent_views_installed{node=\"7\"} 3"), std::string::npos);
   // ...while string-valued fields stay off the metrics surface.
   EXPECT_EQ(reply.find("fortytwo"), std::string::npos);
+}
+
+class MonitorWebMain : public ComponentDefinition {
+ public:
+  explicit MonitorWebMain(net::Address listen) {
+    monitor = create<cats::MonitorServer>();
+    monitor.control()->trigger(make_event<cats::MonitorServer::Init>(net::Address::node(1)));
+    app = create<MonitorWebApp>();
+    app.control()->trigger(
+        make_event<MonitorWebApp::Init>(&monitor.definition_as<cats::MonitorServer>()));
+    server = create<HttpServer>();
+    server.control()->trigger(make_event<HttpServer::Init>(listen));
+    connect(app.provided<Web>(), server.required<Web>());
+  }
+  Component monitor, app, server;
+};
+
+TEST(MonitorWebApp, ServesGlobalViewAtRootAnd404Elsewhere) {
+  auto rt = Runtime::threaded(Config{}, 2, 1);
+  auto main = rt->bootstrap<MonitorWebMain>(net::Address::loopback(0));
+  rt->await_quiescence();
+  auto& server = main.definition_as<MonitorWebMain>().server.definition_as<HttpServer>();
+  const std::string root = http_get(0x7f000001, server.port(), "/");
+  EXPECT_NE(root.find("HTTP/1.0 200"), std::string::npos) << root;
+  EXPECT_NE(root.find("CATS global view"), std::string::npos) << root;
+  for (const char* path : {"/status", "/index.html", "/nodes/1"}) {
+    const std::string reply = http_get(0x7f000001, server.port(), path);
+    EXPECT_NE(reply.find("HTTP/1.0 404"), std::string::npos) << path << "\n" << reply;
+    EXPECT_EQ(reply.find("CATS global view"), std::string::npos) << path;
+  }
 }
 
 }  // namespace
