@@ -49,16 +49,12 @@ void Channel::forward(const EventPtr& e, Direction d, const PortCore* from) {
   // during a concurrent mutation either matches nothing (fall through to
   // the snapshot path) or yields a far end that some pre-/post-mutation
   // configuration also had, which is a linearizable delivery.
+  const bool toward_positive = from->polarity() != Direction::kPositive;
   if (fast_path_.load(std::memory_order_acquire)) {
     PortCore* pos = fast_pos_.load(std::memory_order_relaxed);
     PortCore* neg = fast_neg_.load(std::memory_order_relaxed);
-    PortCore* far = nullptr;
-    if (from == pos) {
-      far = neg;
-    } else if (from == neg) {
-      far = pos;
-    }
-    if (far != nullptr) {
+    PortCore* far = toward_positive ? pos : neg;
+    if ((from == pos || from == neg) && far != nullptr) {
       far->deliver_from_channel(e, d);
       return;
     }
@@ -69,7 +65,10 @@ void Channel::forward(const EventPtr& e, Direction d, const PortCore* from) {
         d == Direction::kPositive ? snap->positive_filter : snap->negative_filter;
     if (filter && !filter(*e)) return;  // selector: not for this channel
     if (snap->state == State::kActive) {
-      PortCore* far = from == snap->positive_end ? snap->negative_end : snap->positive_end;
+      // Route by the sender's polarity, never by "not the positive end": a
+      // sender racing its own unplug is no longer an end, and its event
+      // belongs at the opposite end, not at its replacement.
+      PortCore* far = toward_positive ? snap->positive_end : snap->negative_end;
       if (far != nullptr) {
         // Active, fully-plugged fast path: deliver without touching the
         // channel lock. Delivery runs outside any channel-internal state
@@ -80,26 +79,23 @@ void Channel::forward(const EventPtr& e, Direction d, const PortCore* from) {
       }
     }
   }
-  forward_slow(e, d, from);
+  forward_slow(e, d, toward_positive);
 }
 
-void Channel::forward_slow(const EventPtr& e, Direction d, const PortCore* from) {
+void Channel::forward_slow(const EventPtr& e, Direction d, bool toward_positive) {
   PortCore* far = nullptr;
   {
     std::lock_guard<std::mutex> g(mu_);
     switch (state_) {
       case State::kDead:
         return;  // disconnected: drop (reconfiguration uses hold+unplug to avoid this)
-      case State::kHeld: {
-        const bool toward_positive = (from != positive_end_);
+      case State::kHeld:
         queue_.push_back(Pending{e, d, toward_positive});
         return;
-      }
       case State::kActive: {
-        far = far_of_locked(from);
+        far = toward_positive ? positive_end_ : negative_end_;
         if (far == nullptr) {
           // Far end unplugged: queue until plugged back (§2.6 — no loss).
-          const bool toward_positive = (from != positive_end_) || positive_end_ == nullptr;
           queue_.push_back(Pending{e, d, toward_positive});
           return;
         }

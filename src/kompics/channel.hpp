@@ -43,9 +43,10 @@ class Channel : public std::enable_shared_from_this<Channel> {
   Channel(PortCore* positive_end, PortCore* negative_end);
   ~Channel();
 
-  /// Forward an event that left `from` toward the far end. Honors
-  /// hold/unplug queuing; drops events only when the channel is dead
-  /// (i.e., after disconnect).
+  /// Forward an event that left `from` toward the end of opposite
+  /// polarity — also when `from` was just unplugged. Honors hold/unplug
+  /// queuing; drops events only when the channel is dead (i.e., after
+  /// disconnect).
   void forward(const EventPtr& e, Direction d, const PortCore* from);
 
   /// §2.6 reconfiguration commands.
@@ -102,15 +103,11 @@ class Channel : public std::enable_shared_from_this<Channel> {
     std::function<bool(const Event&)> negative_filter;
   };
 
-  PortCore* far_of_locked(const PortCore* from) const {
-    return from == positive_end_ ? negative_end_ : positive_end_;
-  }
-
   /// Rebuilds the snapshot from the authoritative fields. Call with `mu_`
   /// held after every mutation.
   void publish_locked();
 
-  void forward_slow(const EventPtr& e, Direction d, const PortCore* from);
+  void forward_slow(const EventPtr& e, Direction d, bool toward_positive);
   void flush_locked(std::unique_lock<std::mutex>& lock);
 
   mutable std::mutex mu_;

@@ -28,14 +28,11 @@ ComponentCore::~ComponentCore() {
   if (definition_ != nullptr && definition_->protocol_host_ != nullptr) {
     definition_->protocol_host_->destroy_frames();
   }
-  // Destroy the definition FIRST: definitions may own threads (TcpNetwork's
-  // I/O loop, HttpServer's acceptor, ThreadTimer) that trigger into this
-  // core's ports until their destructor joins them. Members are destroyed
-  // in reverse declaration order, which would free the port pairs before
-  // definition_ — a use-after-free for any still-running owned thread.
+  // Destroy the definition before the port pairs it declared (members die
+  // in reverse declaration order): its destructor may still use them.
   definition_.reset();
-  // No concurrency from here on: the definition's threads are joined and
-  // the last shared_ptr just dropped, so no producer can reference us.
+  // No concurrency from here on: the last shared_ptr just dropped, and
+  // destroy_tree() dropped our reactor registrations.
   drain_all_queues();
   delete telemetry_stats_.load(std::memory_order_acquire);
 }
@@ -645,11 +642,6 @@ void ComponentCore::retire_into(ComponentCorePtr successor) {
 }
 
 void ComponentCore::destroy_tree() {
-  // Stop definition-owned threads (ThreadTimer, TcpNetwork, HttpServer...)
-  // before touching any structure. The recursion below halts every
-  // definition in the subtree before children_.clear() can free a single
-  // core, so no owned thread can trigger into a dying component.
-  if (definition_ != nullptr) definition_->halt();
   // Cancel in-flight coroutine protocol frames while the subtree's channels
   // are still attached: cancelling an awaited request must also cancel its
   // armed timeout timer, and the CancelTimeout can only reach the Timer
@@ -664,6 +656,9 @@ void ComponentCore::destroy_tree() {
     children_.clear();
   }
   state_.store(LifecycleState::kDestroyed, std::memory_order_release);
+  // After the destroyed mark, which refuses new registrations: from here on
+  // no readiness or deadline is ever triggered into this core.
+  runtime_->reactor().drop(this);
 
   auto detach_all = [](PortCore* half) {
     for (const auto& c : half->channels()) c->destroy();

@@ -52,9 +52,9 @@ class Runner;
 /// Interface between a component and its coroutine-protocol runtime
 /// (protocol.hpp). A definition that runs Proto<> frames owns exactly one
 /// host (created lazily by protocol::Runner::of); destroy_tree() calls
-/// cancel_all() right after halt(), while every channel of the subtree is
-/// still attached — that is the window in which armed timeout timers can
-/// still be cancelled through the Timer port.
+/// cancel_all() first, while every channel of the subtree is still
+/// attached — that is the window in which armed timeout timers can still be
+/// cancelled through the Timer port.
 class ProtocolHost {
  public:
   virtual ~ProtocolHost() = default;
@@ -171,7 +171,7 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
   void mark_needs_init() { needs_init_.store(true, std::memory_order_release); }
 
   /// Tears down this component and its subtree: detaches every channel,
-  /// marks everything destroyed, drains parked work.
+  /// marks everything destroyed, drops every reactor registration.
   void destroy_tree();
 
   /// §2.6 replacement support: destroys this component but forwards its
@@ -376,14 +376,6 @@ class ComponentDefinition {
 
   ComponentDefinition(const ComponentDefinition&) = delete;
   ComponentDefinition& operator=(const ComponentDefinition&) = delete;
-
-  /// Teardown hook: stop and join any threads this definition owns.
-  /// destroy_tree() calls it on every definition in the subtree before any
-  /// channel is detached or any core can be freed, so an owned thread never
-  /// fires into a component that is already (partially) destroyed. Must be
-  /// idempotent; the destructor must still stop the threads itself for
-  /// definitions that are dropped without going through destroy_tree().
-  virtual void halt() {}
 
   /// The coroutine-protocol host attached to this definition, or nullptr
   /// while no Proto<> frame was ever spawned on it (protocol.hpp).

@@ -40,7 +40,7 @@ Runtime::Runtime(Config config, std::unique_ptr<Scheduler> scheduler, std::uniqu
 }
 
 Runtime::~Runtime() {
-  scheduler_->shutdown();
+  shutdown();
   if (root_.core() != nullptr) root_.core()->destroy_tree();
   root_ = Component{};
 }
@@ -54,7 +54,10 @@ std::unique_ptr<Runtime> Runtime::threaded(Config config, std::size_t workers,
                                    std::make_unique<WallClock>(), seed);
 }
 
-void Runtime::shutdown() { scheduler_->shutdown(); }
+void Runtime::shutdown() {
+  scheduler_->shutdown();
+  reactor_.shutdown();
+}
 
 void Runtime::await_quiescence() {
   while (!await_quiescence_for(3'600'000)) {

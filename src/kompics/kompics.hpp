@@ -17,6 +17,7 @@
 #include "component.hpp"
 #include "config.hpp"
 #include "lifecycle.hpp"
+#include "reactor.hpp"
 #include "scheduler.hpp"
 #include "telemetry.hpp"
 
@@ -79,11 +80,11 @@ class Runtime {
 
   Component root() const { return root_; }
 
-  /// Stops the scheduler; pending work is abandoned.
+  /// Stops the scheduler and the reactor; pending work is abandoned.
   void shutdown();
 
   /// Blocks until no schedulable work remains anywhere in the runtime.
-  /// (Timers and I/O threads can of course inject new work afterwards.)
+  /// (Reactor deliveries can of course inject new work afterwards.)
   void await_quiescence();
   /// Bounded variant; returns false on timeout.
   bool await_quiescence_for(DurationMs timeout);
@@ -96,6 +97,9 @@ class Runtime {
   telemetry::Telemetry& telemetry() { return telemetry_; }
   const telemetry::Telemetry& telemetry() const { return telemetry_; }
   Clock& clock() const { return *clock_; }
+  /// The runtime's I/O and deadline reactor (reactor.hpp). Its thread starts
+  /// on the first registration, so a simulation-only runtime never has one.
+  Reactor& reactor() { return reactor_; }
   const Config& config() const { return config_; }
   std::uint64_t seed() const { return seed_; }
   std::uint64_t next_component_id() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
@@ -116,6 +120,7 @@ class Runtime {
   std::unique_ptr<Scheduler> scheduler_;
   telemetry::Telemetry telemetry_;
   std::unique_ptr<Clock> clock_;
+  Reactor reactor_{*clock_};
   std::uint64_t seed_;
   std::atomic<std::uint64_t> next_id_{1};
   Component root_;

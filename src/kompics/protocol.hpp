@@ -123,7 +123,7 @@ struct Elapsed {};
 /// list), in-flight ResumeEvents, and the promises of the frame's coroutine
 /// chain. The cleanup registry below is the cancellation contract: every
 /// pending protocol subscription and armed timer of the frame is recorded
-/// here, so halt-time cancel_all() can revoke them from a foreign thread.
+/// here, so destroy-time cancel_all() can revoke them from a foreign thread.
 struct FrameControl : std::enable_shared_from_this<FrameControl> {
   Runner* runner = nullptr;
   std::coroutine_handle<> top{};

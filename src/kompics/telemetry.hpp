@@ -302,7 +302,7 @@ class Telemetry {
 
   /// Net-hop span (SpanKind::kNetSend / kNetRecv): not tied to a component,
   /// labelled with the local endpoint and the hop description instead.
-  /// Callable from IO threads — spans land in the calling thread's ring.
+  /// Callable from any thread — spans land in the calling thread's ring.
   void record_net_span(SpanKind kind, std::uint32_t trace_id, std::uint32_t span_id,
                        std::uint32_t parent_span, const char* endpoint, const char* hop,
                        std::uint32_t bytes, std::int64_t link_delta_ns,

@@ -1,11 +1,9 @@
 #include "net/tcp_network.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,85 +22,48 @@ namespace {
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagTraced = 0x02;  ///< TraceTrailer appended after the body
 constexpr std::size_t kMaxFrame = 64u << 20;  // 64 MiB sanity bound
+constexpr int kListenBacklog = 128;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
+constexpr int kOne = 1;  // setsockopt flag value
 
 }  // namespace
 
 TcpNetwork::TcpNetwork() {
   subscribe<Init>(control(), [this](const Init& init) { boot(init.self, init.options); });
-  subscribe<Stop>(control(), [this](const Stop&) { shutdown_io(); });
-  subscribe<Message>(network_, [this](const Message& m) { post_send(m); });
+  subscribe<Message>(network_, [this](const Message& m) { send(m); });
+  subscribe<IoReady>(reactor_.port(), [this](const IoReady& r) { on_ready(r); });
 }
 
-TcpNetwork::~TcpNetwork() { shutdown_io(); }
+TcpNetwork::~TcpNetwork() {
+  // destroy_tree() already dropped the reactor registrations.
+  for (auto& [key, conn] : conns_) ::close(conn.fd);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
 
 void TcpNetwork::boot(Address self, const Options& opts) {
   self_ = self;
   options_ = opts;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) throw std::runtime_error("socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &kOne, sizeof(kOne));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(self.host);
   addr.sin_port = htons(self.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, kListenBacklog) != 0) {
+    const std::string why = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
-    throw std::runtime_error("bind() failed for " + self.to_string() + ": " +
-                             std::strerror(errno));
+    throw std::runtime_error("cannot listen on " + self.to_string() + ": " + why);
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("listen() failed");
-  }
-  set_nonblocking(listen_fd_);
-
-  epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
-  io_stop_.store(false);
-  io_running_.store(true);
-  io_thread_ = std::thread([this] { io_main(); });
+  listen_key_ = reactor_.watch(listen_fd_, EPOLLIN);
 }
 
-void TcpNetwork::shutdown_io() {
-  if (!io_running_.exchange(false)) return;
-  io_stop_.store(true);
-  wake_io();
-  if (io_thread_.joinable()) io_thread_.join();
-  for (auto& [fd, conn] : conns_) ::close(fd);
-  conns_.clear();
-  out_by_peer_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  listen_fd_ = wake_fd_ = epoll_fd_ = -1;
-}
-
-void TcpNetwork::wake_io() {
-  if (wake_fd_ >= 0) {
-    std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
+void TcpNetwork::count(std::uint64_t Counters::*field, std::uint64_t n) {
+  std::lock_guard<std::mutex> g(counters_mu_);
+  counters_.*field += n;
 }
 
 Bytes TcpNetwork::frame_message(const Message& m, const TraceTrailer* trailer, bool* failed) {
@@ -116,7 +77,7 @@ Bytes TcpNetwork::frame_message(const Message& m, const TraceTrailer* trailer, b
     return {};
   }
   std::uint8_t flags = 0;
-  if (options_.compress && body.size() >= options_.compress_threshold) {
+  if (options_.compress && body.size() >= kCompressThreshold) {
     Bytes packed;
     kz::compress(body, packed);
     if (packed.size() < body.size()) {
@@ -138,11 +99,7 @@ Bytes TcpNetwork::frame_message(const Message& m, const TraceTrailer* trailer, b
   return frame;
 }
 
-void TcpNetwork::post_send(const Message& m) {
-  if (!io_running_.load(std::memory_order_acquire)) {
-    trigger(make_event<SendFailed>(current_event_as<Message>(), "network not started"), netctl_);
-    return;
-  }
+void TcpNetwork::send(const Message& m) {
   OutFrame of;
   TraceTrailer trailer;
   const TraceTrailer* trailer_ptr = nullptr;
@@ -166,177 +123,86 @@ void TcpNetwork::post_send(const Message& m) {
   bool failed = false;
   of.bytes = frame_message(m, trailer_ptr, &failed);
   if (failed) {
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.send_failures;
+    count(&Counters::send_failures);
+    return;
+  }
+  Conn* c = conn_for(m.destination());
+  if (c == nullptr) {
+    trigger(make_event<SendFailed>(current_event_as<Message>(),
+                                   "connect to " + m.destination().to_string() + " failed"),
+            netctl_);
+    count(&Counters::send_failures);
     return;
   }
   queued_frames_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> g(out_mu_);
-    pending_out_.emplace_back(m.destination(), std::move(of));
-  }
-  wake_io();
+  c->outbox.push_back(std::move(of));
+  flush(*c);  // a connect still in progress answers EAGAIN: EPOLLOUT follows
 }
 
-// ---------------------------------------------------------------------------
-// I/O thread
-// ---------------------------------------------------------------------------
+void TcpNetwork::on_ready(const IoReady& r) {
+  if (r.key == listen_key_) {
+    accept_all();
+    return;
+  }
+  auto it = conns_.find(r.key);
+  if (it == conns_.end()) return;  // closed after the reactor collected the edge
+  // Edge-triggered: write and read until EAGAIN, whatever the edge was. A
+  // refused connect or a reset surfaces as a send/recv error there, and a
+  // hangup as EOF after any frames the peer sent before closing.
+  if (flush(it->second)) read(it->second);
+}
 
-void TcpNetwork::io_main() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!io_stop_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, 100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        io_handle_listener();
-      } else if (fd == wake_fd_) {
-        io_handle_wake();
-      } else {
-        io_handle_conn(fd, events[i].events);
-      }
-    }
+void TcpNetwork::accept_all() {
+  for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK)) >= 0;) {
+    if (adopt(fd, Address{}) != nullptr) count(&Counters::connections_accepted);
   }
 }
 
-void TcpNetwork::io_handle_listener() {
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
-    const int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &len);
-    if (fd < 0) break;
-    set_nonblocking(fd);
-    set_nodelay(fd);
-    Conn c;
-    c.fd = fd;
-    c.connected = true;
-    conns_[fd] = std::move(c);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    conns_[fd].registered = true;
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.connections_accepted;
-  }
-}
-
-void TcpNetwork::io_handle_wake() {
-  std::uint64_t buf;
-  while (::read(wake_fd_, &buf, sizeof(buf)) > 0) {
-  }
-  io_process_outgoing_queue();
-}
-
-void TcpNetwork::io_process_outgoing_queue() {
-  std::vector<std::pair<Address, OutFrame>> batch;
-  {
-    std::lock_guard<std::mutex> g(out_mu_);
-    batch.swap(pending_out_);
-  }
-  for (auto& [dest, frame] : batch) {
-    Conn& c = io_conn_for(dest);
-    if (c.fd < 0) {
-      trigger(make_event<SendFailed>(nullptr, "connect to " + dest.to_string() + " failed"),
-              netctl_);
-      queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> g(counters_mu_);
-      ++counters_.send_failures;
-      continue;
-    }
-    c.outbox.push_back(std::move(frame));
-    if (c.connected) io_flush_writes(c);
-  }
-}
-
-TcpNetwork::Conn& TcpNetwork::io_conn_for(const Address& dest) {
-  static Conn invalid;
+TcpNetwork::Conn* TcpNetwork::conn_for(const Address& dest) {
   auto it = out_by_peer_.find(dest);
-  if (it != out_by_peer_.end()) return conns_[it->second];
+  if (it != out_by_peer_.end()) return &conns_.at(it->second);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    invalid = Conn{};
-    return invalid;
-  }
-  set_nonblocking(fd);
-  set_nodelay(fd);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(dest.host);
   addr.sin_port = htons(dest.port);
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
+  if (fd < 0 || (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+                 errno != EINPROGRESS)) {
+    if (fd >= 0) ::close(fd);
+    return nullptr;
+  }
+  Conn* c = adopt(fd, dest);
+  if (c == nullptr) return nullptr;
+  out_by_peer_[dest] = c->key;
+  count(&Counters::connections_opened);
+  if (!seen_peers_.insert(dest).second) count(&Counters::reconnects);
+  return c;
+}
+
+TcpNetwork::Conn* TcpNetwork::adopt(int fd, Address peer) {
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &kOne, sizeof(kOne));
+  const Reactor::Key key = reactor_.watch(fd, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
+  if (key == 0) {
     ::close(fd);
-    invalid = Conn{};
-    return invalid;
+    return nullptr;
   }
-  Conn c;
-  c.fd = fd;
-  c.peer = dest;
-  c.connected = (rc == 0);
-  conns_[fd] = std::move(c);
-  out_by_peer_[dest] = fd;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;
-  ev.data.fd = fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  conns_[fd].registered = true;
-  const bool reconnect = seen_peers_.count(dest) != 0;
-  seen_peers_[dest] = true;
-  {
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.connections_opened;
-    if (reconnect) ++counters_.reconnects;
-  }
-  return conns_[fd];
+  return &conns_.emplace(key, Conn{.fd = fd, .key = key, .peer = peer}).first->second;
 }
 
-void TcpNetwork::io_handle_conn(int fd, std::uint32_t events) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  Conn& c = it->second;
-
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    io_close_conn(fd, "peer error/hangup");
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    if (!c.connected) {
-      int err = 0;
-      socklen_t len = sizeof(err);
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        io_close_conn(fd, "connect failed");
-        return;
-      }
-      c.connected = true;
-    }
-    io_flush_writes(c);
-    if (conns_.count(fd) == 0) return;  // closed during flush
-  }
-  if ((events & EPOLLIN) != 0) io_read(c);
-}
-
-void TcpNetwork::io_flush_writes(Conn& c) {
+bool TcpNetwork::flush(Conn& c) {
   while (!c.outbox.empty()) {
     const OutFrame& front = c.outbox.front();
     const ssize_t n = ::send(c.fd, front.bytes.data() + c.out_offset,
                              front.bytes.size() - c.out_offset, MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      io_close_conn(c.fd, "send failed");
-      return;
+      // EAGAIN: the reactor delivers the next EPOLLOUT edge once the
+      // socket drains.
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      close_conn(c, "send failed");
+      return false;
     }
-    {
-      std::lock_guard<std::mutex> g(counters_mu_);
-      counters_.bytes_sent += static_cast<std::uint64_t>(n);
-    }
+    count(&Counters::bytes_sent, static_cast<std::uint64_t>(n));
     c.out_offset += static_cast<std::size_t>(n);
     if (c.out_offset == front.bytes.size()) {
       if (front.trace_id != 0) {
@@ -353,34 +219,26 @@ void TcpNetwork::io_flush_writes(Conn& c) {
       queued_frames_.fetch_sub(1, std::memory_order_relaxed);
       c.outbox.pop_front();
       c.out_offset = 0;
-      std::lock_guard<std::mutex> g(counters_mu_);
-      ++counters_.messages_sent;
+      count(&Counters::messages_sent);
     }
   }
-  // Keep EPOLLOUT armed only while there is pending output.
-  epoll_event ev{};
-  ev.events = EPOLLIN | (c.outbox.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT));
-  ev.data.fd = c.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+  return true;
 }
 
-void TcpNetwork::io_read(Conn& c) {
+void TcpNetwork::read(Conn& c) {
   std::uint8_t buf[16 * 1024];
   while (true) {
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n == 0) {
-      io_close_conn(c.fd, "peer closed");
+      close_conn(c, "peer closed");
       return;
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      io_close_conn(c.fd, "recv failed");
+      close_conn(c, "recv failed");
       return;
     }
-    {
-      std::lock_guard<std::mutex> g(counters_mu_);
-      counters_.bytes_received += static_cast<std::uint64_t>(n);
-    }
+    count(&Counters::bytes_received, static_cast<std::uint64_t>(n));
     c.inbox.insert(c.inbox.end(), buf, buf + n);
     // Extract complete frames.
     std::size_t pos = 0;
@@ -388,7 +246,7 @@ void TcpNetwork::io_read(Conn& c) {
       BufferReader header(c.inbox.data() + pos, 4);
       const std::uint32_t frame_len = header.u32();
       if (frame_len == 0 || frame_len > kMaxFrame) {
-        io_close_conn(c.fd, "bad frame length");
+        close_conn(c, "bad frame length");
         return;
       }
       if (c.inbox.size() - pos - 4 < frame_len) break;
@@ -402,7 +260,7 @@ void TcpNetwork::io_read(Conn& c) {
           // The trailer sits after the (possibly compressed) body, inside
           // the frame length, so it is read before any decompression.
           if (payload_len < TraceTrailer::kWireSize) {
-            io_close_conn(c.fd, "bad trace trailer");
+            close_conn(c, "bad trace trailer");
             return;
           }
           payload_len -= TraceTrailer::kWireSize;
@@ -418,10 +276,7 @@ void TcpNetwork::io_read(Conn& c) {
           BufferReader r(body + 1, payload_len);
           msg = SerializationRegistry::instance().deserialize(r);
         }
-        {
-          std::lock_guard<std::mutex> g(counters_mu_);
-          ++counters_.messages_received;
-        }
+        count(&Counters::messages_received);
         telemetry::Telemetry& tel = runtime().telemetry();
         if (traced && tel.tracing_enabled()) {
           // Continue the sender's trace: a local net-recv span bridges the
@@ -441,7 +296,7 @@ void TcpNetwork::io_read(Conn& c) {
         }
         trigger(msg, network_);
       } catch (const std::exception& e) {
-        io_close_conn(c.fd, "frame decode failed");
+        close_conn(c, "frame decode failed");
         return;
       }
       pos += 4 + frame_len;
@@ -450,25 +305,18 @@ void TcpNetwork::io_read(Conn& c) {
   }
 }
 
-void TcpNetwork::io_close_conn(int fd, const char* reason) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  const Conn& c = it->second;
-  if (!c.outbox.empty()) {
-    queued_frames_.fetch_sub(c.outbox.size(), std::memory_order_relaxed);
+void TcpNetwork::close_conn(Conn& c, const char* reason) {
+  queued_frames_.fetch_sub(c.outbox.size(), std::memory_order_relaxed);
+  if (c.peer.valid()) out_by_peer_.erase(c.peer);
+  if (c.peer.valid() && !c.outbox.empty()) {
+    trigger(make_event<SendFailed>(nullptr, std::string(reason) + " (" +
+                                                std::to_string(c.outbox.size()) +
+                                                " frames dropped)"),
+            netctl_);
   }
-  if (c.peer.valid()) {
-    out_by_peer_.erase(c.peer);
-    if (!c.outbox.empty()) {
-      trigger(make_event<SendFailed>(nullptr, std::string(reason) + " (" +
-                                                  std::to_string(c.outbox.size()) +
-                                                  " frames dropped)"),
-              netctl_);
-    }
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  conns_.erase(it);
+  reactor_.unwatch(c.key);
+  ::close(c.fd);
+  conns_.erase(c.key);  // destroys c
 }
 
 TcpNetwork::Counters TcpNetwork::counters() const {

@@ -2,10 +2,13 @@
 
 // TcpNetwork: a production Network provider over kernel TCP sockets — the
 // from-scratch equivalent of the paper's pluggable NIO frameworks (Grizzly /
-// Netty / MINA, §3). One epoll-driven I/O thread per component instance
-// performs automatic connection management (connect-on-first-send, accept,
-// teardown), length-prefixed framing, message serialization via the
-// SerializationRegistry, and optional kz compression.
+// Netty / MINA, §3). It performs automatic connection management
+// (connect-on-first-send, accept, teardown), length-prefixed framing,
+// message serialization via the SerializationRegistry, and optional kz
+// compression. Its non-blocking sockets are watched by the runtime reactor
+// (kompics/reactor.hpp): the Message handler writes the socket directly,
+// and readiness edges arrive as IoReady work items that accept, read and
+// flush in component context. The component owns no thread.
 //
 // Wire frame: [u32 length][u8 flags][body]; flags bit0 => body compressed.
 
@@ -14,8 +17,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "kompics/component.hpp"
@@ -31,9 +34,10 @@ class TcpNetwork : public ComponentDefinition {
  public:
   struct Options {
     bool compress = false;
-    std::size_t compress_threshold = 256;  ///< only compress bodies >= this
-    int listen_backlog = 128;
   };
+  /// With compression on, only bodies of at least this many bytes are
+  /// compressed.
+  static constexpr std::size_t kCompressThreshold = 256;
 
   struct Init : kompics::Init {
     KOMPICS_EVENT(Init, kompics::Init);
@@ -46,10 +50,6 @@ class TcpNetwork : public ComponentDefinition {
 
   TcpNetwork();
   ~TcpNetwork() override;
-
-  /// Joins the I/O thread so in-flight frames stop being delivered before
-  /// the component tree around this network is torn down.
-  void halt() override { shutdown_io(); }
 
   struct Counters {
     std::uint64_t messages_sent = 0;
@@ -82,56 +82,42 @@ class TcpNetwork : public ComponentDefinition {
 
   struct Conn {
     int fd = -1;
-    bool connected = false;     // outgoing: connect() completed
-    bool registered = false;    // in epoll set
-    Address peer{};             // valid for outgoing connections
-    std::deque<OutFrame> outbox;  // frames awaiting write
-    std::size_t out_offset = 0; // partial-write position in outbox.front()
-    Bytes inbox;                // partial frame assembly
+    Reactor::Key key = 0;
+    Address peer{};               // valid for outgoing connections
+    std::deque<OutFrame> outbox{};  // frames awaiting write
+    std::size_t out_offset = 0;   // partial-write position in outbox.front()
+    Bytes inbox{};                // partial frame assembly
   };
 
   void boot(Address self, const Options& opts);
-  void shutdown_io();
-  void io_main();
-  void wake_io();
-  void post_send(const Message& m);
+  void send(const Message& m);
   Bytes frame_message(const Message& m, const TraceTrailer* trailer, bool* failed);
-
-  // I/O-thread-only helpers.
-  void io_handle_listener();
-  void io_handle_wake();
-  void io_handle_conn(int fd, std::uint32_t events);
-  void io_flush_writes(Conn& c);
-  void io_read(Conn& c);
-  void io_close_conn(int fd, const char* reason);
-  Conn& io_conn_for(const Address& dest);
-  void io_process_outgoing_queue();
+  void on_ready(const IoReady& r);
+  void accept_all();
+  Conn* conn_for(const Address& dest);  ///< nullptr when connect() fails
+  Conn* adopt(int fd, Address peer);    ///< watches a new socket; nullptr on failure
+  bool flush(Conn& c);                  ///< false when the connection closed
+  void read(Conn& c);
+  void close_conn(Conn& c, const char* reason);
+  void count(std::uint64_t Counters::*field, std::uint64_t n = 1);
 
   Negative<Network> network_ = provide<Network>();
   Negative<NetworkControl> netctl_ = provide<NetworkControl>();
+  ReactorLink reactor_{core()};
 
   Address self_{};
   Options options_{};
-
-  std::atomic<bool> io_running_{false};
-  std::atomic<bool> io_stop_{false};
-  std::thread io_thread_;
-  int epoll_fd_ = -1;
   int listen_fd_ = -1;
-  int wake_fd_ = -1;
+  Reactor::Key listen_key_ = 0;
 
-  // Handler threads enqueue (dest, frame); the I/O thread drains.
-  std::mutex out_mu_;
-  std::vector<std::pair<Address, OutFrame>> pending_out_;
+  // Component-context state: only handlers touch it.
+  std::unordered_map<Reactor::Key, Conn> conns_;
+  std::unordered_map<Address, Reactor::Key> out_by_peer_;  // outgoing conns
+  std::unordered_set<Address> seen_peers_;                 // reconnect detection
 
-  // Frames accepted by post_send but not yet fully written (or dropped):
-  // the send-queue depth gauge on /metrics.
+  // Frames accepted by send() but not yet fully written (or dropped): the
+  // send-queue depth gauge on /metrics.
   std::atomic<std::uint64_t> queued_frames_{0};
-
-  // I/O-thread-owned state.
-  std::unordered_map<int, Conn> conns_;             // by fd
-  std::unordered_map<Address, int> out_by_peer_;    // outgoing conns
-  std::unordered_map<Address, bool> seen_peers_;    // reconnect detection
 
   mutable std::mutex counters_mu_;
   Counters counters_;

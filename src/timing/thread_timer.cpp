@@ -1,6 +1,6 @@
 #include "timing/thread_timer.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 #include "kompics/kompics.hpp"
 
@@ -8,95 +8,46 @@ namespace kompics::timing {
 
 ThreadTimer::ThreadTimer() {
   subscribe<ScheduleTimeout>(timer_, [this](const ScheduleTimeout& st) {
-    arm(st.delay_ms(), -1, st.payload());
+    arm(now() + std::max<std::int64_t>(0, st.delay_ms()), -1, st.payload());
   });
   subscribe<SchedulePeriodicTimeout>(timer_, [this](const SchedulePeriodicTimeout& st) {
-    arm(st.initial_delay_ms(), st.period_ms(), st.payload());
+    arm(now() + std::max<std::int64_t>(0, st.initial_delay_ms()), st.period_ms(), st.payload());
   });
-  subscribe<CancelTimeout>(timer_, [this](const CancelTimeout& ct) {
-    std::lock_guard<std::mutex> g(mu_);
-    // Only record cancellations that a pending heap entry will consume;
-    // cancel-after-fire and cancel-of-unknown-id must not leak the id.
-    if (armed_.count(ct.id()) != 0) cancelled_.insert(ct.id());
-  });
-  subscribe<Start>(control(), [this](const Start&) { ensure_thread(); });
-  subscribe<Stop>(control(), [this](const Stop&) { stop_thread(); });
+  subscribe<CancelTimeout>(timer_, [this](const CancelTimeout& ct) { disarm(ct.id()); });
+  subscribe<DeadlineDue>(reactor_.port(), [this](const DeadlineDue& d) { fire(d.key); });
 }
 
-ThreadTimer::~ThreadTimer() { stop_thread(); }
-
-void ThreadTimer::arm(std::int64_t delay_ms, std::int64_t period_ms, TimeoutPtr payload) {
-  ensure_thread();
-  std::lock_guard<std::mutex> g(mu_);
-  ++armed_[payload->id()];
-  heap_.push(Entry{now() + std::max<std::int64_t>(0, delay_ms), seq_++, std::move(payload),
-                   period_ms});
-  cv_.notify_one();
+void ThreadTimer::arm(TimeMs at, std::int64_t period_ms, TimeoutPtr payload) {
+  const TimeoutId id = payload->id();
+  disarm(id);
+  const Reactor::Deadline d = reactor_.arm(at);
+  if (d.key == 0) return;  // this component is being destroyed
+  armed_.emplace(d.key, Armed{std::move(payload), period_ms});
+  deadline_of_.emplace(id, d);
+  armed_count_.store(deadline_of_.size(), std::memory_order_release);
 }
 
-std::size_t ThreadTimer::pending_cancellations() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return cancelled_.size();
+void ThreadTimer::disarm(TimeoutId id) {
+  auto it = deadline_of_.find(id);
+  if (it == deadline_of_.end()) return;  // already fired, or never armed
+  reactor_.cancel(it->second);
+  armed_.erase(it->second.key);
+  deadline_of_.erase(it);
+  armed_count_.store(deadline_of_.size(), std::memory_order_release);
 }
 
-std::size_t ThreadTimer::armed_timeouts() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return armed_.size();
-}
-
-void ThreadTimer::ensure_thread() {
-  std::lock_guard<std::mutex> g(mu_);
-  if (thread_running_) return;
-  stop_ = false;
-  thread_running_ = true;
-  thread_ = std::thread([this] { timer_main(); });
-}
-
-void ThreadTimer::stop_thread() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (!thread_running_) return;
-    stop_ = true;
-    thread_running_ = false;
-    cv_.notify_all();
-    to_join = std::move(thread_);
-  }
-  if (to_join.joinable()) to_join.join();
-}
-
-void ThreadTimer::timer_main() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (heap_.empty()) {
-      cv_.wait(lock, [this] { return stop_ || !heap_.empty(); });
-      continue;
-    }
-    const std::int64_t wake = heap_.top().deadline_ms;
-    const std::int64_t current = now();
-    if (current < wake) {
-      cv_.wait_for(lock, std::chrono::milliseconds(wake - current));
-      continue;
-    }
-    Entry e = heap_.top();
-    heap_.pop();
-    const TimeoutId id = e.payload->id();
-    auto armed_it = armed_.find(id);
-    if (armed_it != armed_.end() && --armed_it->second == 0) armed_.erase(armed_it);
-    if (cancelled_.count(id) != 0) {
-      cancelled_.erase(id);  // consumed; periodic entries are not re-armed
-      continue;
-    }
-    if (e.period_ms >= 0) {
-      ++armed_[id];
-      heap_.push(Entry{e.deadline_ms + std::max<std::int64_t>(1, e.period_ms), seq_++, e.payload,
-                       e.period_ms});
-    }
-    TimeoutPtr payload = e.payload;
-    lock.unlock();
-    trigger(payload, timer_);  // thread-safe: publishes to subscriber queues
-    lock.lock();
-  }
+void ThreadTimer::fire(Reactor::Key key) {
+  auto it = armed_.find(key);
+  if (it == armed_.end()) return;  // cancelled after the reactor delivered it
+  const Armed a = std::move(it->second);
+  armed_.erase(it);
+  const TimeoutId id = a.payload->id();
+  const TimeMs at = deadline_of_.at(id).at;
+  deadline_of_.erase(id);
+  // Periodic: re-arm from the previous deadline, not from now — no drift.
+  if (a.period_ms >= 0) arm(at + std::max<std::int64_t>(1, a.period_ms), a.period_ms, a.payload);
+  armed_count_.store(deadline_of_.size(), std::memory_order_release);
+  trigger(a.payload, timer_);
 }
 
 }  // namespace kompics::timing

@@ -1,20 +1,20 @@
 #pragma once
 
 // ThreadTimer: the production Timer provider (the paper's "JavaTimer").
-// A dedicated thread sleeps on a min-heap of deadlines and triggers the
-// scheduled Timeout events back through the provided Timer port. Periodic
-// timeouts re-arm themselves until cancelled.
+// Every ScheduleTimeout becomes one deadline on the runtime reactor
+// (kompics/reactor.hpp); when it is due, a DeadlineDue work item reaches
+// this component, which triggers the scheduled Timeout back through the
+// provided Timer port. Periodic timeouts re-arm themselves until cancelled.
+// Cancellation disarms the deadline directly, so it is exact: a timeout
+// cancelled before it was delivered is never delivered. Despite the name
+// (kept for its users), the component owns no thread.
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <queue>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "kompics/component.hpp"
+#include "kompics/reactor.hpp"
 #include "timing/timer_port.hpp"
 
 namespace kompics::timing {
@@ -22,50 +22,28 @@ namespace kompics::timing {
 class ThreadTimer : public ComponentDefinition {
  public:
   ThreadTimer();
-  ~ThreadTimer() override;
 
-  /// Joins the timer thread; without this, pending deadlines keep firing
-  /// into sibling components while the tree is being torn down.
-  void halt() override { stop_thread(); }
-
-  /// Cancellations recorded but not yet consumed by a firing entry. Stays
-  /// bounded: cancelling an id with no armed heap entry (already fired, or
-  /// never armed) is a no-op instead of leaking into this set forever.
-  std::size_t pending_cancellations() const;
-  /// Distinct timeout ids with at least one entry still in the heap.
-  std::size_t armed_timeouts() const;
+  /// Timeout ids currently armed (thread-safe).
+  std::size_t armed_timeouts() const { return armed_count_.load(std::memory_order_acquire); }
 
  private:
-  struct Entry {
-    std::int64_t deadline_ms;  // wall clock (runtime clock domain)
-    std::uint64_t seq;         // tie-breaker for deterministic ordering
+  struct Armed {
     TimeoutPtr payload;
     std::int64_t period_ms;  // <0 for one-shot
-    bool operator>(const Entry& other) const {
-      return deadline_ms != other.deadline_ms ? deadline_ms > other.deadline_ms
-                                              : seq > other.seq;
-    }
   };
 
-  void timer_main();
-  void arm(std::int64_t delay_ms, std::int64_t period_ms, TimeoutPtr payload);
-  void ensure_thread();
-  void stop_thread();
+  /// Arms `payload` at `at`; an id that is still armed is replaced.
+  void arm(TimeMs at, std::int64_t period_ms, TimeoutPtr payload);
+  void disarm(TimeoutId id);
+  void fire(Reactor::Key key);
 
   Negative<Timer> timer_ = provide<Timer>();
+  ReactorLink reactor_{core()};
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_set<TimeoutId> cancelled_;
-  // id -> number of heap entries carrying it. Lets the cancel path tell a
-  // pending timeout (record the cancellation) from one that already fired
-  // or never existed (ignore — recording it would leak the id forever).
-  std::unordered_map<TimeoutId, std::size_t> armed_;
-  std::uint64_t seq_ = 0;
-  bool stop_ = false;
-  bool thread_running_ = false;
-  std::thread thread_;
+  // Component-context state: only handlers touch it.
+  std::unordered_map<Reactor::Key, Armed> armed_;
+  std::unordered_map<TimeoutId, Reactor::Deadline> deadline_of_;
+  std::atomic<std::size_t> armed_count_{0};  // mirrors deadline_of_.size()
 };
 
 }  // namespace kompics::timing

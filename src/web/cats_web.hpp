@@ -10,7 +10,7 @@
 //
 // The app keeps a periodically refreshed cache of StatusResponses (its
 // required Status port is connected to every functional component of the
-// node) and serves pages from the cache, so HTTP worker threads never wait
+// node) and serves pages from the cache, so an HTTP request never waits
 // on protocol components.
 
 #include <cctype>

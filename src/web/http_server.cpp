@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <cstring>
+#include <algorithm>
+#include <cerrno>
+#include <stdexcept>
 
 #include "kompics/telemetry.hpp"
 
@@ -16,34 +18,27 @@ HttpServer::HttpServer() {
   subscribe<Init>(control(), [this](const Init& init) {
     listen_ = init.listen;
     request_timeout_ms_ = init.request_timeout_ms;
-    telemetry_endpoints_ = init.telemetry_endpoints;
   });
   subscribe<Start>(control(), [this](const Start&) { boot(); });
-  subscribe<Stop>(control(), [this](const Stop&) { stop_accepting(); });
+  subscribe<IoReady>(reactor_.port(), [this](const IoReady& r) { on_ready(r); });
+  subscribe<DeadlineDue>(reactor_.port(), [this](const DeadlineDue& d) { on_deadline(d); });
 
   subscribe<WebResponse>(web_, [this](const WebResponse& resp) {
-    std::shared_ptr<PendingResponse> p;
-    {
-      std::lock_guard<std::mutex> g(pending_mu_);
-      auto it = pending_.find(resp.id);
-      if (it == pending_.end()) return;  // request already timed out
-      p = it->second;
-      pending_.erase(it);
-    }
-    std::lock_guard<std::mutex> g(p->mu);
-    p->done = true;
-    p->status = resp.status;
-    p->content_type = resp.content_type;
-    p->body = resp.body;
-    p->cv.notify_all();
+    auto it = conns_.find(resp.id);
+    if (it == conns_.end() || !it->second.awaiting) return;  // timed out already
+    respond(it->second, resp.status, resp.content_type, resp.body);
   });
 }
 
-HttpServer::~HttpServer() { stop_accepting(); }
+HttpServer::~HttpServer() {
+  // destroy_tree() already dropped the reactor registrations.
+  for (auto& [key, conn] : conns_) ::close(conn.fd);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
 
 void HttpServer::boot() {
-  if (running_.exchange(true)) return;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ >= 0) return;
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -54,80 +49,78 @@ void HttpServer::boot() {
       ::listen(listen_fd_, 16) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    running_.store(false);
     throw std::runtime_error("HttpServer: cannot listen on " + listen_.to_string());
   }
   // Recover an ephemeral port choice so callers can connect.
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   listen_.port = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { accept_main(); });
+  listen_key_ = reactor_.watch(listen_fd_, EPOLLIN);
 }
 
-void HttpServer::stop_accepting() {
-  if (!running_.exchange(false)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_ = -1;
-  // Fail every request still parked in serve_connection: the application
-  // will not answer once the server is stopping, and the joins below must
-  // not sit out each request's full timeout.
-  {
-    std::lock_guard<std::mutex> g(pending_mu_);
-    for (auto& [id, p] : pending_) {
-      std::lock_guard<std::mutex> pg(p->mu);
-      p->done = true;
-      p->status = 503;
-      p->content_type = "text/plain";
-      p->body = "server shutting down";
-      p->cv.notify_all();
-    }
-    pending_.clear();
+void HttpServer::on_ready(const IoReady& r) {
+  if (r.key == listen_key_) {
+    accept_all();
+    return;
   }
-  // The accept thread is gone, so conn_threads_ can only shrink from here.
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> g(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (auto& t : conns) {
-    if (t.joinable()) t.join();
+  auto it = conns_.find(r.key);
+  if (it == conns_.end()) return;  // closed after the reactor collected the edge
+  Conn& c = it->second;
+  if (!c.out.empty()) {
+    flush(c);
+  } else if (!c.awaiting) {
+    read_request(c);
   }
 }
 
-void HttpServer::accept_main() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load(std::memory_order_acquire)) break;
+void HttpServer::on_deadline(const DeadlineDue& d) {
+  auto it = std::find_if(conns_.begin(), conns_.end(),
+                         [&d](const auto& kc) { return kc.second.deadline.key == d.key; });
+  if (it == conns_.end()) return;
+  Conn& c = it->second;
+  c.deadline = {};
+  if (c.awaiting) {
+    respond(c, 504, "text/plain", "timeout");
+  } else {
+    close_conn(c);  // silent client, or a reply the client never drained
+  }
+}
+
+void HttpServer::accept_all() {
+  for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK)) >= 0;) {
+    const Reactor::Key key = reactor_.watch(fd, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
+    if (key == 0) {
+      ::close(fd);
       continue;
     }
-    // Connections are short-lived (HTTP/1.0, Connection: close); serve each
-    // in its own worker so a slow client cannot stall the accept loop. The
-    // handle is kept — never detached — so stop_accepting() can join it:
-    // a detached worker could outlive the server and write freed memory.
-    std::thread conn([this, fd] { serve_connection(fd); });
-    {
-      std::lock_guard<std::mutex> g(conn_mu_);
-      conn_threads_.push_back(std::move(conn));
-    }
+    conns_.emplace(key, Conn{.fd = fd,
+                             .key = key,
+                             .deadline = reactor_.arm(now() + request_timeout_ms_)});
   }
 }
 
-void HttpServer::serve_connection(int fd) {
-  char buf[8192];
-  std::string raw;
-  // Read until the end of headers (or a bounded amount).
-  while (raw.find("\r\n\r\n") == std::string::npos && raw.size() < sizeof(buf)) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
+void HttpServer::read_request(Conn& c) {
+  char buf[4096];
+  bool eof = false;
+  while (c.in.find("\r\n\r\n") == std::string::npos && c.in.size() < 8192) {
+    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      c.in.append(buf, static_cast<std::size_t>(n));
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;  // wait for the next readiness edge
+    } else {
+      eof = true;  // the client closed its side: serve what arrived
+      break;
+    }
+  }
+  if (eof && c.in.empty()) {
+    close_conn(c);
+    return;
   }
   std::string method = "GET", path = "/", query;
-  const auto eol = raw.find("\r\n");
+  const auto eol = c.in.find("\r\n");
   if (eol != std::string::npos) {
-    const std::string line = raw.substr(0, eol);
+    const std::string line = c.in.substr(0, eol);
     const auto sp1 = line.find(' ');
     const auto sp2 = line.find(' ', sp1 + 1);
     if (sp1 != std::string::npos && sp2 != std::string::npos) {
@@ -138,65 +131,54 @@ void HttpServer::serve_connection(int fd) {
       if (qpos != std::string::npos) query = target.substr(qpos + 1);
     }
   }
-
+  c.path = path;
+  c.in.clear();
   // The trace endpoint answers directly from the kernel (no Web-port round
   // trip): the monitoring surface must work even when the application layer
   // is wedged — that is precisely when it is needed.
-  if (telemetry_endpoints_ && path == "/trace") {
-    send_direct(fd, 200, "application/json", telemetry::render_trace_json(runtime()));
+  if (path == "/trace") {
+    respond(c, 200, "application/json", telemetry::render_trace_json(runtime()));
     return;
   }
-
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto pending = std::make_shared<PendingResponse>();
-  {
-    std::lock_guard<std::mutex> g(pending_mu_);
-    pending_[id] = pending;
-  }
-  trigger(make_event<WebRequest>(id, method, path, query), web_);
-
-  {
-    std::unique_lock<std::mutex> lock(pending->mu);
-    pending->cv.wait_for(lock, std::chrono::milliseconds(request_timeout_ms_),
-                         [&pending] { return pending->done; });
-  }
-  {
-    std::lock_guard<std::mutex> g(pending_mu_);
-    pending_.erase(id);
-  }
-
-  // /metrics is one combined surface: kernel telemetry first (rendered here,
-  // so it is served even when the application layer is wedged and the round
-  // trip above timed out), then whatever protocol-level samples the web app
-  // answered for the same path (e.g. CATS ring-epoch and view counters).
-  if (telemetry_endpoints_ && path == "/metrics") {
-    std::string body = telemetry::render_prometheus(runtime());
-    if (pending->done && pending->status == 200 &&
-        pending->content_type.rfind("text/plain", 0) == 0) {
-      body += pending->body;
-    }
-    send_direct(fd, 200, "text/plain; version=0.0.4", body);
-    return;
-  }
-
-  send_direct(fd, pending->status, pending->content_type, pending->body);
+  c.awaiting = true;
+  trigger(make_event<WebRequest>(c.key, method, path, query), web_);
 }
 
-void HttpServer::send_direct(int fd, int status, const std::string& content_type,
-                             const std::string& body) {
-  std::string head = "HTTP/1.0 " + std::to_string(status) + (status == 200 ? " OK" : " ERROR") +
-                     "\r\nContent-Type: " + content_type +
-                     "\r\nContent-Length: " + std::to_string(body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
-  head += body;
-  std::size_t off = 0;
-  while (off < head.size()) {
-    const ssize_t n = ::send(fd, head.data() + off, head.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
+void HttpServer::respond(Conn& c, int status, std::string content_type, std::string body) {
+  c.awaiting = false;
+  if (c.path == "/metrics") {
+    // One combined surface: kernel telemetry first — served even when the
+    // app is wedged and the request timed out — then whatever protocol-level
+    // samples the app answered for the same path (e.g. CATS ring epochs).
+    const bool app_samples = status == 200 && content_type.rfind("text/plain", 0) == 0;
+    body = telemetry::render_prometheus(runtime()) + (app_samples ? body : "");
+    status = 200;
+    content_type = "text/plain; version=0.0.4";
   }
-  ::close(fd);
+  c.out = "HTTP/1.0 " + std::to_string(status) + (status == 200 ? " OK" : " ERROR") +
+          "\r\nContent-Type: " + content_type +
+          "\r\nContent-Length: " + std::to_string(body.size()) +
+          "\r\nConnection: close\r\n\r\n" + body;
+  flush(c);
+}
+
+void HttpServer::flush(Conn& c) {
+  while (c.out_off < c.out.size()) {
+    const ssize_t n =
+        ::send(c.fd, c.out.data() + c.out_off, c.out.size() - c.out_off, MSG_NOSIGNAL);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // wait for EPOLLOUT
+    if (n <= 0) break;
+    c.out_off += static_cast<std::size_t>(n);
+  }
+  close_conn(c);
   served_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void HttpServer::close_conn(Conn& c) {
+  reactor_.cancel(c.deadline);
+  reactor_.unwatch(c.key);
+  ::close(c.fd);
+  conns_.erase(c.key);  // destroys c
 }
 
 }  // namespace kompics::web

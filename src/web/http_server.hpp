@@ -1,20 +1,19 @@
 #pragma once
 
 // HttpServer: minimal embedded HTTP/1.0 server component — the stand-in for
-// the paper's embedded Jetty (§4.1). One accept thread; each connection is
-// served by a short-lived worker that parses the request line, triggers a
-// WebRequest on the required Web port, and blocks (bounded) for the
-// application's WebResponse, bridging the synchronous socket world to the
-// asynchronous component world.
+// the paper's embedded Jetty (§4.1). Its non-blocking sockets are watched by
+// the runtime reactor (kompics/reactor.hpp): accept, read and write run as
+// IoReady work items in component context. A complete request is triggered
+// as a WebRequest on the required Web port; the application's WebResponse
+// handler writes the reply. Each connection carries one reactor deadline,
+// the request timeout: a client that has not sent a full request by then
+// is dropped, and a request the application has not answered gets a 504.
+// The component owns no thread.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <string>
+#include <unordered_map>
 
 #include "kompics/component.hpp"
 #include "kompics/kompics.hpp"
@@ -28,61 +27,48 @@ class HttpServer : public ComponentDefinition {
   struct Init : kompics::Init {
     KOMPICS_EVENT(Init, kompics::Init);
 
-    explicit Init(net::Address listen, DurationMs request_timeout_ms = 2000,
-                  bool telemetry_endpoints = true)
-        : listen(listen),
-          request_timeout_ms(request_timeout_ms),
-          telemetry_endpoints(telemetry_endpoints) {}
+    explicit Init(net::Address listen, DurationMs request_timeout_ms = 2000)
+        : listen(listen), request_timeout_ms(request_timeout_ms) {}
     net::Address listen;
     DurationMs request_timeout_ms;
-    /// Serve /metrics (Prometheus text) and /trace (span JSON) directly
-    /// from kernel telemetry, bypassing the Web port.
-    bool telemetry_endpoints;
   };
 
   HttpServer();
   ~HttpServer() override;
 
-  /// Joins the accept thread and every connection worker; a worker that
-  /// outlived the server used to touch freed state when answering slowly.
-  void halt() override { stop_accepting(); }
-
   std::uint16_t port() const { return listen_.port; }
   std::uint64_t requests_served() const { return served_.load(std::memory_order_relaxed); }
 
  private:
-  struct PendingResponse {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    int status = 504;
-    std::string content_type = "text/plain";
-    std::string body = "timeout";
+  struct Conn {
+    int fd = -1;
+    Reactor::Key key = 0;        // reactor watch; also the WebRequest id
+    Reactor::Deadline deadline;  // the request timeout
+    std::string in{};       // request bytes read so far
+    std::string path{};     // the parsed request path
+    bool awaiting = false;  // WebRequest triggered, no WebResponse yet
+    std::string out{};      // response bytes not yet written
+    std::size_t out_off = 0;
   };
 
   void boot();
-  void stop_accepting();
-  void accept_main();
-  void serve_connection(int fd);
-  void send_direct(int fd, int status, const std::string& content_type,
-                   const std::string& body);
+  void on_ready(const IoReady& r);
+  void on_deadline(const DeadlineDue& d);
+  void accept_all();
+  void read_request(Conn& c);
+  void respond(Conn& c, int status, std::string content_type, std::string body);
+  void flush(Conn& c);
+  void close_conn(Conn& c);
 
   Positive<Web> web_ = require<Web>();
+  ReactorLink reactor_{core()};
 
   net::Address listen_{};
   DurationMs request_timeout_ms_ = 2000;
-  bool telemetry_endpoints_ = true;
   int listen_fd_ = -1;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  // One handle per connection served; all joined in stop_accepting(). Kept
-  // instead of detaching so no worker can outlive the server object.
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  Reactor::Key listen_key_ = 0;
 
-  std::mutex pending_mu_;
-  std::map<std::uint64_t, std::shared_ptr<PendingResponse>> pending_;
-  std::atomic<std::uint64_t> next_id_{1};
+  std::unordered_map<Reactor::Key, Conn> conns_;  // handlers only
   std::atomic<std::uint64_t> served_{0};
 };
 

@@ -51,7 +51,6 @@ class TcpMachine : public ComponentDefinition {
     net = create<TcpNetwork>();
     TcpNetwork::Options opts;
     opts.compress = true;  // exercise the compression path over real sockets
-    opts.compress_threshold = 128;
     trigger(make_event<TcpNetwork::Init>(self.addr, opts), net.control());
     timer = create<timing::ThreadTimer>();
     node = create<CatsNode>(self, boot, Address{}, fast_params());
@@ -111,13 +110,20 @@ TEST(CatsOverTcp, ClusterConvergesAndServesLinearizableOps) {
   auto& reader =
       cluster.machines[3].definition_as<TcpMachine>().client.definition_as<CatsClient>();
 
-  const Value big(4096, 0x61);  // compressible 4 KB value
+  // Compressible 16 KB value, far above TcpNetwork::kCompressThreshold.
+  const Value big(16 * 1024, 0x61);
+  auto& writer_net =
+      cluster.machines[0].definition_as<TcpMachine>().net.definition_as<TcpNetwork>();
+  const std::uint64_t sent_before = writer_net.counters().bytes_sent;
   for (int i = 0; i < 10; ++i) {
     std::promise<bool> put_done;
     writer.put(hash_to_ring("tcp-key-" + std::to_string(i)), big,
                [&](bool ok) { put_done.set_value(ok); });
     ASSERT_TRUE(put_done.get_future().get()) << "put " << i;
   }
+  // The compressed path ran: every put carried the value to at least one
+  // other node, yet the writer's wire carried under half the raw bytes.
+  EXPECT_LT(writer_net.counters().bytes_sent - sent_before, 10 * big.size() / 2);
   for (int i = 0; i < 10; ++i) {
     std::promise<std::pair<bool, Value>> get_done;
     reader.get(hash_to_ring("tcp-key-" + std::to_string(i)),

@@ -60,10 +60,9 @@ class WedgedApp : public ComponentDefinition {
 
 class ScrapeMain : public ComponentDefinition {
  public:
-  explicit ScrapeMain(net::Address listen, bool telemetry_endpoints = true) {
+  explicit ScrapeMain(net::Address listen) {
     server = create<HttpServer>();
-    server.control()->trigger(make_event<HttpServer::Init>(listen, /*request_timeout_ms=*/200,
-                                                           telemetry_endpoints));
+    server.control()->trigger(make_event<HttpServer::Init>(listen, /*request_timeout_ms=*/200));
     app = create<WedgedApp>();
     connect(app.provided<Web>(), server.required<Web>());
   }
@@ -184,18 +183,6 @@ TEST_F(ScrapeFixture, MetricsIncludeSpanRingAndRunQueueGauges) {
   EXPECT_NE(resp.find("kompics_scheduler_run_queue_depth"), std::string::npos);
   EXPECT_NE(resp.find("kompics_protocol_frames_in_flight"), std::string::npos);
   EXPECT_NE(resp.find("kompics_telemetry_node_id"), std::string::npos);
-}
-
-TEST(MetricsEndpoint, CanBeDisabledViaInit) {
-  auto rt = Runtime::threaded(Config{}, 2, 1);
-  // With telemetry endpoints off, /metrics falls through to the (wedged)
-  // app and times out instead of answering from the kernel.
-  auto main = rt->bootstrap<ScrapeMain>(net::Address::loopback(0), /*telemetry_endpoints=*/false);
-  rt->await_quiescence();
-  auto& server = main.definition_as<ScrapeMain>().server.definition_as<HttpServer>();
-  const std::string resp = http_get(0x7f000001, server.port(), "/metrics");
-  EXPECT_EQ(resp.find("kompics_scheduler_total"), std::string::npos);
-  EXPECT_NE(resp.find("504"), std::string::npos) << resp;
 }
 
 }  // namespace

@@ -223,5 +223,134 @@ TEST(StressChannel, DestroyRacingForwardNeverCrashesOrDuplicates) {
   }
 }
 
+// ---- a sender racing the unplug of its own end -------------------------------
+
+class Numbered : public Event {
+  KOMPICS_EVENT(Numbered, Event);
+
+ public:
+  explicit Numbered(long n) : n(n) {}
+  long n;
+};
+class NumberedPort : public PortType {
+ public:
+  NumberedPort() {
+    set_name("StressChanNumberedPort");
+    negative<Numbered>();
+    positive<Numbered>();
+  }
+};
+
+class NumberedSource : public ComponentDefinition {
+ public:
+  Negative<NumberedPort> out_ = provide<NumberedPort>();
+};
+
+class NumberedSink : public ComponentDefinition {
+ public:
+  explicit NumberedSink(long capacity) : seen(static_cast<std::size_t>(capacity), 0) {
+    subscribe<Numbered>(in_, [this](const Numbered& e) {
+      ++seen[static_cast<std::size_t>(e.n)];
+      received.fetch_add(1);
+    });
+  }
+  Positive<NumberedPort> in_ = require<NumberedPort>();
+  std::vector<int> seen;  // sink context only; read after quiescence
+  std::atomic<long> received{0};
+};
+
+class BystanderSink : public ComponentDefinition {
+ public:
+  Positive<NumberedPort> in_ = require<NumberedPort>();
+};
+
+class ReplugMain : public ComponentDefinition {
+ public:
+  ReplugMain(long capacity, int bystanders) {
+    source = create<NumberedSource>();
+    replacement = create<NumberedSource>();
+    sink = create<NumberedSink>(capacity);
+    // Bystander channels attached first make the source's fan-out walk long,
+    // so a forward into the watched channel regularly starts before an
+    // unplug/plug pair and finishes after it.
+    for (int i = 0; i < bystanders; ++i) {
+      bystander.push_back(create<BystanderSink>());
+      connect(source.provided<NumberedPort>(), bystander.back().required<NumberedPort>());
+    }
+    channel = connect(source.provided<NumberedPort>(), sink.required<NumberedPort>());
+    // Anything arriving at the replacement's outside half was misrouted: the
+    // replacement never sends, and the sink never sends back.
+    subscribe<Numbered>(replacement.provided<NumberedPort>(),
+                        [this](const Numbered&) { misrouted.fetch_add(1); });
+  }
+  Component source, replacement, sink;
+  std::vector<Component> bystander;
+  ChannelRef channel;
+  std::atomic<long> misrouted{0};
+};
+
+TEST(StressChannel, UnplugOfSendingPositiveEndNeverReachesReplacement) {
+  const std::uint64_t seed = stress::announce_seed("StressChannel.UnplugSender");
+  const long kSends = 60000L * stress::scale();
+
+  auto rt = Runtime::threaded(Config{}, 2, 1);
+  auto main = rt->bootstrap<ReplugMain>(kSends, 128);
+  auto& def = main.definition_as<ReplugMain>();
+  rt->await_quiescence();
+
+  PortCore* inject =
+      def.source.core()->find_port(std::type_index(typeid(NumberedPort)), true)->inside.get();
+  PortCore* source_end =
+      def.source.core()->find_port(std::type_index(typeid(NumberedPort)), true)->outside.get();
+  PortCore* replacement_end =
+      def.replacement.core()->find_port(std::type_index(typeid(NumberedPort)), true)->outside.get();
+
+  // started = the number being sent; finished = how many sends returned.
+  std::atomic<long> started{-1};
+  std::atomic<long> finished{0};
+  std::thread sender([&] {
+    for (long n = 0; n < kSends; ++n) {
+      started.store(n);
+      inject->trigger(make_event<Numbered>(n));
+      finished.store(n + 1);
+    }
+  });
+
+  // Sends wholly before an unplug, or begun after the matching re-plug, must
+  // all reach the sink; a send overlapping the window may be dropped by the
+  // detached source port, but must never reach the replacement.
+  std::vector<char> may_drop(static_cast<std::size_t>(kSends), 0);
+  std::mt19937_64 rng(seed);
+  long swaps = 0;
+  while (finished.load() < kSends) {
+    const long lo = finished.load();
+    def.channel->unplug(source_end);
+    def.channel->plug(replacement_end);
+    for (std::uint64_t spin = rng() % 4; spin > 0; --spin) std::this_thread::yield();
+    def.channel->unplug(replacement_end);
+    def.channel->plug(source_end);
+    const long hi = std::min(started.load(), kSends - 1);
+    for (long n = lo; n <= hi; ++n) may_drop[static_cast<std::size_t>(n)] = 1;
+    ++swaps;
+    for (std::uint64_t spin = rng() % 8; spin > 0; --spin) std::this_thread::yield();
+  }
+  sender.join();
+  rt->await_quiescence();
+
+  EXPECT_EQ(def.misrouted.load(), 0) << "an event of the unplugged end reached its replacement ("
+                                     << swaps << " swaps)";
+  const auto& seen = def.sink.definition_as<NumberedSink>().seen;
+  long lost = 0;
+  long duplicated = 0;
+  for (long n = 0; n < kSends; ++n) {
+    const int times = seen[static_cast<std::size_t>(n)];
+    if (times > 1) ++duplicated;
+    if (times == 0 && may_drop[static_cast<std::size_t>(n)] == 0) ++lost;
+  }
+  EXPECT_EQ(lost, 0) << "sends outside every unplug window were lost";
+  EXPECT_EQ(duplicated, 0);
+  EXPECT_EQ(def.channel->queued(), 0u);
+}
+
 }  // namespace
 }  // namespace kompics::test

@@ -2,11 +2,11 @@
 // thousand frames park concurrently, each awaiting a correlated response
 // with an armed timeout (when_any(request, sleep) — the quorum-protocol
 // shape), while most of their owning components are destroyed mid-flight.
-// Verifies, at scale, the halt-cancellation contract (destroy cancels every
-// parked frame AND its armed timeout; a fired-after-death timeout resuming
-// a dead frame would crash or trip TSan), that survivors keep completing
-// through the churn, and that the timer ends the run with zero armed
-// timeouts and zero unconsumed cancellations — the PR 1 leak class.
+// Verifies, at scale, the destroy-cancellation contract (destroy cancels
+// every parked frame AND its armed timeout; a fired-after-death timeout
+// resuming a dead frame would crash or trip TSan), that survivors keep
+// completing through the churn, and that the timer ends the run with zero
+// armed timeouts — the timer-leak class.
 
 #include <gtest/gtest.h>
 
@@ -185,16 +185,12 @@ TEST(StressProtocol, TenThousandConcurrentAwaitsSurviveDestroyChurn) {
   EXPECT_EQ(clients[0]->live_frames(), 0u) << "completed frames must retire";
   EXPECT_EQ(clients[1]->live_frames(), 0u);
 
-  // The leak-class check at scale: once every deadline has passed, the
-  // timer must hold zero armed timeouts and zero unconsumed cancellations —
-  // every one of the ~12.5k armed sleeps either fired or was cancelled by
-  // frame unwind (destroy churn or when_any loser cleanup).
+  // The leak-class check at scale: the timer must hold zero armed
+  // timeouts — every one of the ~12.5k armed sleeps either fired or was
+  // cancelled by frame unwind (destroy churn or when_any loser cleanup).
   ASSERT_TRUE(stress::spin_until([&] { return timer.armed_timeouts() == 0; },
                                  static_cast<int>(kTimeoutMs) + 30000))
       << "armed timeouts leaked: " << timer.armed_timeouts();
-  ASSERT_TRUE(stress::spin_until([&] { return timer.pending_cancellations() == 0; },
-                                 static_cast<int>(kTimeoutMs) + 30000))
-      << "cancellations never consumed: " << timer.pending_cancellations();
 }
 
 }  // namespace

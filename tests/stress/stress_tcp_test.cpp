@@ -2,8 +2,8 @@
 // round boots a fresh runtime with two nodes, pushes bidirectional traffic
 // (forcing connect-on-first-send both ways), then tears everything down
 // with frames potentially still in flight. ASan patrols the teardown for
-// use-after-free/leaks; TSan patrols handler-thread vs. I/O-thread
-// hand-off. A refused-connection round exercises the failure path.
+// use-after-free/leaks; TSan patrols the reactor-to-worker hand-off. A
+// refused-connection round exercises the failure path.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -162,7 +162,7 @@ TEST(StressTcp, RefusedConnectionStorm) {
 
   auto& app = def.node_a.definition_as<Node>().app.definition_as<Endpoint>();
   // A burst of sends to ports nobody listens on: every one must come back
-  // as SendFailed instead of wedging the I/O thread or leaking conns.
+  // as SendFailed instead of wedging the network or leaking conns.
   for (int i = 0; i < kTargets; ++i) {
     app.send(self, Address::loopback(pick_port()), static_cast<std::uint64_t>(i), Bytes{1, 2});
   }

@@ -1,9 +1,8 @@
 // Stress driver: ThreadTimer arm/cancel/fire storms. Multiple threads arm
 // one-shot and periodic timeouts with tiny delays and cancel them at
 // adversarial moments (before fire, after fire, twice, never-armed ids).
-// Afterwards the timer's bookkeeping must drain to empty — the regression
-// surface of the cancellation leak, where cancel-after-fire ids sat in the
-// cancelled set forever.
+// Afterwards nothing may stay armed — the regression surface of the old
+// cancellation leak, where cancel-after-fire ids were retained forever.
 
 #include <gtest/gtest.h>
 
@@ -127,19 +126,14 @@ TEST(StressTimer, ArmCancelFireStormDrainsAllBookkeeping) {
   go.store(true);
   for (auto& t : threads) t.join();
 
-  // Drain phase: cancel every periodic, then the heap and both id tables
-  // must empty out (each recorded cancellation is consumed by its entry's
-  // next pop; one-shots fire or get consumed the same way).
+  // Drain phase: cancel every periodic (disarmed at once); the one-shots
+  // still armed fire within their <= 15 ms delays.
   for (const auto& [user_idx, id] : periodics) {
     def.users[static_cast<std::size_t>(user_idx)].definition_as<TimerUser>().cancel(id);
   }
   rt->await_quiescence();
-  const bool drained = stress::spin_until(
-      [&] { return timer.armed_timeouts() == 0 && timer.pending_cancellations() == 0; },
-      15000);
-  EXPECT_TRUE(drained) << "armed=" << timer.armed_timeouts()
-                       << " pending_cancellations=" << timer.pending_cancellations()
-                       << " — cancellation bookkeeping leaked";
+  const bool drained = stress::spin_until([&] { return timer.armed_timeouts() == 0; }, 15000);
+  EXPECT_TRUE(drained) << "armed=" << timer.armed_timeouts() << " — timeouts leaked";
 
   long fired = 0;
   for (auto& u : def.users) fired += u.definition_as<TimerUser>().fired.load();
@@ -158,8 +152,8 @@ TEST(StressTimer, StartStopChurnWithInflightTimeouts) {
     rt->await_quiescence();
 
     // Arm a pile of timers, then tear the whole runtime down while many are
-    // still pending — the timer thread must stop cleanly, never touching
-    // freed state (ASan's surface) or racing shutdown (TSan's surface).
+    // still pending — the reactor must stop delivering cleanly, never
+    // touching freed state (ASan's surface) or racing shutdown (TSan's).
     for (auto& u : def.users) {
       auto& user = u.definition_as<TimerUser>();
       for (int i = 0; i < 20; ++i) {

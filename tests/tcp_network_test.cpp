@@ -148,7 +148,6 @@ TEST(TcpNetwork, CompressionPathRoundTrips) {
   const Address b = Address::loopback(pick_port());
   TcpNetwork::Options opts;
   opts.compress = true;
-  opts.compress_threshold = 64;
   auto rt = Runtime::threaded(Config{}, 2, 1);
   auto main = rt->bootstrap<TwoNodeMain>(a, b, opts);
   auto& def = main.definition_as<TwoNodeMain>();
@@ -157,8 +156,9 @@ TEST(TcpNetwork, CompressionPathRoundTrips) {
   auto& app_a = def.node_a.definition_as<Node>().app.definition_as<Endpoint>();
   auto& app_b = def.node_b.definition_as<Node>().app.definition_as<Endpoint>();
 
-  // Highly compressible payload.
+  // Highly compressible payload, above the compression threshold.
   Bytes payload(32 * 1024, 0x42);
+  ASSERT_GE(payload.size(), TcpNetwork::kCompressThreshold);
   app_a.send(a, b, 1, payload);
   wait_for([&] { return app_b.received.load() == 1; });
   ASSERT_EQ(app_b.received.load(), 1u);

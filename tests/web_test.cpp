@@ -9,8 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -26,7 +29,7 @@ namespace {
 /// Minimal blocking HTTP client for the tests.
 std::string http_get(std::uint32_t host, std::uint16_t port, const std::string& path) {
   int fd = -1;
-  // The accept thread starts asynchronously; retry briefly.
+  // The listener opens on Start, asynchronously; retry briefly.
   for (int attempt = 0; attempt < 20; ++attempt) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -85,8 +88,8 @@ TEST(HttpServer, ServesWebAppResponses) {
   const std::string reply = http_get(0x7f000001, server.port(), "/hello?x=1");
   EXPECT_NE(reply.find("200 OK"), std::string::npos);
   EXPECT_NE(reply.find("you asked for /hello?x=1"), std::string::npos);
-  // The served counter is bumped by the worker after it closes the socket,
-  // so the client can observe EOF slightly before the increment: poll.
+  // The served counter is bumped after the server closes the socket, so
+  // the client can observe EOF slightly before the increment: poll.
   for (int i = 0; i < 100 && server.requests_served() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -118,6 +121,45 @@ TEST(HttpServer, TimesOutWhenAppStaysSilent) {
   auto& server = main.definition_as<SilentMain>().server.definition_as<HttpServer>();
   const std::string reply = http_get(0x7f000001, server.port(), "/");
   EXPECT_NE(reply.find("504"), std::string::npos);
+}
+
+TEST(HttpServer, SilentClientDoesNotBlockTeardown) {
+  auto rt = Runtime::threaded(Config{}, 2, 1);
+  auto main = rt->bootstrap<EchoMain>(net::Address::loopback(0));
+  rt->await_quiescence();
+  const std::uint16_t port =
+      main.definition_as<EchoMain>().server.definition_as<HttpServer>().port();
+  main = Component{};
+
+  // Connect and send nothing: the request never completes.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(0x7f000001);
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the server accept it
+
+  // Teardown must not wait for the client. A hang cannot be failed from
+  // this thread, so a watchdog ends the process instead.
+  std::atomic<bool> torn_down{false};
+  std::thread watchdog([&] {
+    for (int i = 0; i < 1000 && !torn_down.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!torn_down.load()) {
+      std::fprintf(stderr, "runtime teardown blocked on a silent HTTP client\n");
+      std::_Exit(1);
+    }
+  });
+  rt.reset();
+  torn_down.store(true);
+  watchdog.join();
+
+  // The server's side of the connection is gone with it.
+  char byte;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
 }
 
 // ---- CATS web application ------------------------------------------------------
