@@ -2,7 +2,9 @@
 // semantics of Figures 6 and 7: trigger-to-handler dispatch cost, cost per
 // additional handler on one port (Fig. 7: all compatible handlers run
 // sequentially), fan-out cost per additional subscriber component (Fig. 6:
-// all channels forward), and channel-chain (composite pass-through) depth.
+// all channels forward), channel-chain (composite pass-through) depth, and
+// a composite whose inside port fans out to children that mostly do not
+// handle the event (the CATS node shape).
 
 #include <benchmark/benchmark.h>
 
@@ -37,12 +39,19 @@ class Tick : public Event {
   int n;
 };
 
+// Another message type on TickPort, handled by the children of
+// NodeComposite that do not handle Tick.
+class Tock : public Event {
+  KOMPICS_EVENT(Tock, Event);
+};
+
 class TickPort : public PortType {
  public:
   TickPort() {
     set_name("TickPort");
     negative<Tick>();
     positive<Tick>();
+    positive<Tock>();
   }
 };
 
@@ -147,6 +156,45 @@ class ChainMain : public ComponentDefinition {
   std::vector<Component> relays;
 };
 
+// A protocol child of a node: subscribes to Tick, or only to the other
+// message type on the same port.
+class NodeChild : public ComponentDefinition {
+ public:
+  explicit NodeChild(bool ticks) {
+    if (ticks) {
+      subscribe<Tick>(in_, [this](const Tick&) { ++count; });
+    } else {
+      subscribe<Tock>(in_, [](const Tock&) {});
+    }
+  }
+  Positive<TickPort> in_ = require<TickPort>();
+  long count = 0;
+};
+
+// Like CatsNode's Network port: the composite's required port is wired on
+// the inside to six children, and only one of them handles the event.
+class NodeComposite : public ComponentDefinition {
+ public:
+  NodeComposite() {
+    for (int i = 0; i < 6; ++i) {
+      children.push_back(create<NodeChild>(/*ticks=*/i == 0));
+      connect(in_, children.back().required<TickPort>());
+    }
+  }
+  Positive<TickPort> in_ = require<TickPort>();
+  std::vector<Component> children;
+};
+
+class NodeMain : public ComponentDefinition {
+ public:
+  NodeMain() {
+    emitter = create<Emitter>();
+    node = create<NodeComposite>();
+    connect(emitter.provided<TickPort>(), node.required<TickPort>());
+  }
+  Component emitter, node;
+};
+
 // One subscriber, varying handler count (Fig. 7 semantics).
 void BM_DispatchHandlers(benchmark::State& state) {
   auto rt = Runtime::threaded(Config{}, 2, 1);
@@ -217,6 +265,26 @@ void BM_ChannelChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChannelChain)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+
+// Indications entering a composite that fans each out to six children, of
+// which one subscribes to its type: a burst of B, then one drain. With
+// B = 1 the round trip's wake-up dominates; B = 64 exposes the per-event
+// dispatch cost of the five children that do not handle it.
+void BM_FanOutComposite(benchmark::State& state) {
+  auto rt = Runtime::threaded(Config{}, 2, 1);
+  apply_telemetry_mode(*rt);
+  auto main = rt->bootstrap<NodeMain>();
+  rt->await_quiescence();
+  auto& emitter = main.definition_as<NodeMain>().emitter.definition_as<Emitter>();
+  const int burst = static_cast<int>(state.range(0));
+  int n = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < burst; ++i) emitter.emit(n++);
+    rt->await_quiescence();
+  }
+  state.SetItemsProcessed(state.iterations() * burst);
+}
+BENCHMARK(BM_FanOutComposite)->Arg(1)->Arg(64);
 
 // Raw trigger throughput into one busy component (queueing fast path):
 // emit a burst of B events, then drain once.

@@ -114,7 +114,10 @@ namespace {
 // need 2^19 interleaved operations for the tag to wrap back — not reachable
 // in practice. Nodes are only returned to the allocator in the pool's
 // destructor (after all runtime threads have joined), so the speculative
-// `next` read in acquire() never touches freed memory.
+// `next` reads in pop_chain() never touch freed memory.
+//
+// Threads reach it only through the per-thread cache below, which moves
+// items in chains of up to kChain per CAS.
 class WorkItemPool {
  public:
   using WorkItem = ComponentCore::WorkItem;
@@ -128,31 +131,44 @@ class WorkItemPool {
     }
   }
 
-  WorkItem* acquire() {
+  /// Pops up to `max` linked items (null-terminated chain) and stores their
+  /// number in `n`; allocates one fresh item when the stack is empty.
+  WorkItem* pop_chain(std::size_t max, std::size_t& n) {
     std::uint64_t head = head_.load(std::memory_order_acquire);
     for (;;) {
       WorkItem* top = unpack(head);
-      if (top == nullptr) return new WorkItem{};
-      // May read a stale value if another thread pops `top` first; the CAS
-      // below fails in that case (the tag advanced) and we reload.
-      WorkItem* next = top->next.load(std::memory_order_relaxed);
-      if (head_.compare_exchange_weak(head, pack(next, tag(head) + 1),
+      if (top == nullptr) {
+        n = 1;
+        return new WorkItem{};
+      }
+      // The walk may read stale links if another thread pops first; the
+      // CAS below fails in that case (the tag advanced) and we reload. An
+      // unchanged head word means no push or pop happened, so the links
+      // walked are the stack's.
+      WorkItem* last = top;
+      std::size_t k = 1;
+      WorkItem* rest = last->next.load(std::memory_order_relaxed);
+      while (k < max && rest != nullptr) {
+        last = rest;
+        rest = last->next.load(std::memory_order_relaxed);
+        ++k;
+      }
+      if (head_.compare_exchange_weak(head, pack(rest, tag(head) + 1),
                                       std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
-        top->next.store(nullptr, std::memory_order_relaxed);
+        last->next.store(nullptr, std::memory_order_relaxed);
+        n = k;
         return top;
       }
     }
   }
 
-  void release(WorkItem* item) {
-    if (item == nullptr) return;  // callers pass next_item()'s result as-is
-    item->event.reset();
-    item->half = nullptr;
+  /// Pushes the chain first..last (already linked through `next`).
+  void push_chain(WorkItem* first, WorkItem* last) {
     std::uint64_t head = head_.load(std::memory_order_relaxed);
     for (;;) {
-      item->next.store(unpack(head), std::memory_order_relaxed);
-      if (head_.compare_exchange_weak(head, pack(item, tag(head) + 1),
+      last->next.store(unpack(head), std::memory_order_relaxed);
+      if (head_.compare_exchange_weak(head, pack(first, tag(head) + 1),
                                       std::memory_order_release,
                                       std::memory_order_relaxed)) {
         return;
@@ -186,6 +202,98 @@ WorkItemPool& work_item_pool() {
   return pool;
 }
 
+// Per-thread front of the pool: a bounded LIFO of free items. A worker
+// mostly releases the items it and its peers acquired, so acquire/release
+// usually touch only this thread's list; the process-wide head is paid once
+// per kChain items, when the list runs dry (refill) or full (spill).
+//
+// The list is trivially destructible so it stays usable during thread
+// exit; a separate thread_local flusher hands its items back to the pool
+// when the thread ends. For the main thread that runs before any static
+// destructor, so before ~WorkItemPool. After the flush, `retired` sends
+// every later release on that thread straight to the pool.
+constexpr std::size_t kCacheCapacity = 64;
+constexpr std::size_t kChain = kCacheCapacity / 2;
+
+struct WorkItemCache {
+  using WorkItem = ComponentCore::WorkItem;
+
+  WorkItem* head = nullptr;
+  std::size_t count = 0;
+  bool registered = false;  // the flusher is armed for this thread
+  bool retired = false;     // the flusher ran: the thread is exiting
+
+  /// Detaches the top `n` (<= count) items as a chain; returns its last.
+  WorkItem* split(std::size_t n, WorkItem*& first) {
+    first = head;
+    WorkItem* last = head;
+    for (std::size_t i = 1; i < n; ++i) last = last->next.load(std::memory_order_relaxed);
+    head = last->next.load(std::memory_order_relaxed);
+    count -= n;
+    return last;
+  }
+};
+
+constinit thread_local WorkItemCache tl_work_items;
+
+struct WorkItemCacheFlusher {
+  bool armed = false;
+  ~WorkItemCacheFlusher() {
+    WorkItemCache& c = tl_work_items;
+    if (c.count != 0) {
+      ComponentCore::WorkItem* first = nullptr;
+      ComponentCore::WorkItem* last = c.split(c.count, first);
+      work_item_pool().push_chain(first, last);
+    }
+    c.registered = false;
+    c.retired = true;
+  }
+};
+thread_local WorkItemCacheFlusher tl_work_item_flusher;
+
+/// True when this thread may keep items in its cache: arms the flusher on
+/// first use, and stays false once the thread is exiting.
+bool cache_usable(WorkItemCache& c) {
+  if (c.registered) return true;
+  if (c.retired) return false;
+  tl_work_item_flusher.armed = true;  // first odr-use registers its destructor
+  c.registered = true;
+  return true;
+}
+
+ComponentCore::WorkItem* acquire_work_item() {
+  WorkItemCache& c = tl_work_items;
+  ComponentCore::WorkItem* item = c.head;
+  if (item == nullptr) {
+    std::size_t n = 0;
+    item = work_item_pool().pop_chain(cache_usable(c) ? kChain : 1, n);
+    c.count = n;
+  }
+  c.head = item->next.load(std::memory_order_relaxed);
+  --c.count;
+  item->next.store(nullptr, std::memory_order_relaxed);
+  return item;
+}
+
+void release_work_item(ComponentCore::WorkItem* item) {
+  if (item == nullptr) return;  // callers pass next_item()'s result as-is
+  item->event.reset();
+  item->half = nullptr;
+  WorkItemCache& c = tl_work_items;
+  if (!cache_usable(c)) {
+    work_item_pool().push_chain(item, item);
+    return;
+  }
+  if (c.count == kCacheCapacity) {
+    ComponentCore::WorkItem* first = nullptr;
+    ComponentCore::WorkItem* last = c.split(kChain, first);
+    work_item_pool().push_chain(first, last);
+  }
+  item->next.store(c.head, std::memory_order_relaxed);
+  c.head = item;
+  ++c.count;
+}
+
 }  // namespace
 
 void ComponentCore::enqueue_work(const EventPtr& e, PortCore* half, bool control) {
@@ -196,7 +304,7 @@ void ComponentCore::enqueue_work(const EventPtr& e, PortCore* half, bool control
   // this enqueue hasn't paid into yet — otherwise pending_ transiently
   // reads zero with work still queued and await_quiescence returns early.
   runtime_->pending_add(1);
-  WorkItem* item = work_item_pool().acquire();
+  WorkItem* item = acquire_work_item();
   item->event = e;
   item->half = half;
   item->control = control;
@@ -268,7 +376,7 @@ void ComponentCore::forward_retired(WorkItem* it) {
       target->enqueue_work(it->event, half, /*control=*/false);
     }
   }
-  work_item_pool().release(it);
+  release_work_item(it);
 }
 
 ComponentCore::WorkItem* ComponentCore::next_item() {
@@ -398,7 +506,7 @@ void ComponentCore::run_item(WorkItem* item) {
   const EventPtr event = std::move(item->event);
   PortCore* half = item->half;
   const bool is_control = item->control;
-  work_item_pool().release(item);
+  release_work_item(item);
 
   // Telemetry prologue. With everything disabled this costs three relaxed
   // loads and `timed` stays false, so no clock is read and no name is
@@ -577,15 +685,15 @@ void ComponentCore::flush_passive_deferred() {
 
 void ComponentCore::drain_all_queues() {
   auto drop = [](std::deque<WorkItem*>& q) {
-    for (WorkItem* it : q) work_item_pool().release(it);
+    for (WorkItem* it : q) release_work_item(it);
     q.clear();
   };
   drop(replay_control_);
   drop(replay_normal_);
   drop(parked_control_);
   drop(parked_normal_);
-  while (WorkItem* it = control_q_.pop()) work_item_pool().release(it);
-  while (WorkItem* it = normal_q_.pop()) work_item_pool().release(it);
+  while (WorkItem* it = control_q_.pop()) release_work_item(it);
+  while (WorkItem* it = normal_q_.pop()) release_work_item(it);
 }
 
 // ---------------------------------------------------------------------------

@@ -305,22 +305,22 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
 
 namespace detail {
 
-/// Thread-local accumulator that coalesces the scheduler and quiescence
-/// bookkeeping of one synchronous event propagation (one trigger(), one
-/// channel replay). While a scope is open on the calling thread,
-/// enqueue_work() records its target here after pushing the work item;
-/// the outermost scope exit then pays ONE runtime pending-counter update,
-/// performs the idle->ready transitions, and hands every newly-ready
+/// Thread-local accumulator that coalesces the scheduler bookkeeping of one
+/// synchronous event propagation (one trigger(), one channel replay).
+/// While a scope is open on the calling thread, enqueue_work() pays the
+/// runtime pending counter for its item (one update per item, before the
+/// push) and then records its target here; the outermost scope exit
+/// performs the idle->ready transitions and hands every newly-ready
 /// component to the scheduler in a single schedule_batch() call. A fan-out
 /// trigger with N subscribers thus wakes the worker pool once instead of
 /// N times.
 ///
-/// Deferral is safe because a work item without its ready "ticket" is
-/// merely invisible to the scheduler until the flush — it cannot be
-/// completed, so the runtime's pending counter never undercounts
-/// completable work. Triggers from inside a handler flush before run_item
-/// returns, so the handler's own in-flight unit keeps the runtime
-/// non-quiescent across the whole window.
+/// Deferral is safe because only the ready "tickets" are deferred: an item
+/// is already counted as pending when it becomes poppable, and tickets are
+/// added after their items' pushes, so they never exceed queued items.
+/// Triggers from inside a handler flush before run_item returns, so the
+/// handler's own in-flight unit keeps the runtime non-quiescent across the
+/// whole window.
 class DispatchBatch {
  public:
   bool active() const { return depth_ > 0; }

@@ -55,15 +55,26 @@ namespace detail {
 /// repo (CATS + net + sim + web + tests) declares.
 inline constexpr std::size_t kMaxEventTypes = 4096;
 
+/// A type's bit in 64-bit interest masks: its id modulo 64. Distinct types
+/// may share a bit; a mask test only ever proves "no match" (see
+/// ancestor_bits).
+constexpr std::uint64_t type_bit(EventTypeId id) { return std::uint64_t{1} << (id & 63); }
+
 struct EventTypeInfo {
   EventTypeId parent = kEventTypeInvalid;
   const char* name = "";
+  /// type_bit of this type OR-ed with every registered ancestor's. A
+  /// subscription to T can accept an event of type E only if type_bit(T)
+  /// is set in E's ancestor_bits, so a zero AND against a port half's
+  /// interest mask (port.hpp) proves no subscription there accepts E.
+  std::uint64_t ancestor_bits = 0;
 };
 
 // Registry storage. Entries are immutable once published; an id only
 // escapes the registering thread through a function-local static whose
 // guard provides the release/acquire edge, so readers never race writers.
-inline EventTypeInfo g_event_types[kMaxEventTypes]{{}, {kEventTypeInvalid, "kompics::Event"}};
+inline EventTypeInfo g_event_types[kMaxEventTypes]{
+    {}, {kEventTypeInvalid, "kompics::Event", type_bit(kEventTypeRoot)}};
 inline std::atomic<EventTypeId> g_event_type_count{2};  // 0 invalid, 1 root
 inline std::mutex g_event_type_mu;
 
@@ -71,10 +82,14 @@ inline EventTypeId allocate_event_type(EventTypeId parent, const char* name) {
   std::lock_guard<std::mutex> g(g_event_type_mu);
   const EventTypeId id = g_event_type_count.load(std::memory_order_relaxed);
   KOMPICS_ASSERT(id < kMaxEventTypes, "event type registry full (kMaxEventTypes)");
-  g_event_types[id] = EventTypeInfo{parent, name};
+  g_event_types[id] =
+      EventTypeInfo{parent, name, type_bit(id) | g_event_types[parent].ancestor_bits};
   g_event_type_count.store(id + 1, std::memory_order_release);
   return id;
 }
+
+/// Precomputed ancestor mask of a registered TypeId (one load).
+inline std::uint64_t ancestor_bits(EventTypeId id) { return g_event_types[id].ancestor_bits; }
 
 /// True when `ancestor` is `derived` or one of its registered ancestors.
 /// Chains are shallow (2–4 links in practice), so a parent-walk beats any

@@ -103,8 +103,8 @@ std::size_t PortCore::dispatch(const EventPtr& e) {
   // paper's semantics for subscribe/unsubscribe during handling.
   std::size_t matches = 0;
   TargetSet targets;
-  if (sub_count_.load(std::memory_order_acquire) != 0) {
-    const EventTypeId eid = e->kompics_type_id();
+  const EventTypeId eid = e->kompics_type_id();
+  if ((interest_.load(std::memory_order_acquire) & detail::ancestor_bits(eid)) != 0) {
     const auto snap = subs_.acquire();
     for (const auto& s : snap->subs) {
       if (!s->active.load(std::memory_order_acquire) || !s->accepts(eid)) continue;
@@ -124,8 +124,10 @@ std::size_t PortCore::dispatch(const EventPtr& e) {
 }
 
 bool PortCore::has_match(const Event& e) const {
-  if (sub_count_.load(std::memory_order_acquire) == 0) return false;
   const EventTypeId eid = e.kompics_type_id();
+  if ((interest_.load(std::memory_order_acquire) & detail::ancestor_bits(eid)) == 0) {
+    return false;
+  }
   const auto snap = subs_.acquire();
   for (const auto& s : snap->subs) {
     if (s->active.load(std::memory_order_acquire) && s->accepts(eid)) return true;
@@ -140,9 +142,10 @@ void PortCore::add_subscription(const SubscriptionRef& s) {
   next->subs.reserve(cur->subs.size() + 1);
   next->subs = cur->subs;
   next->subs.push_back(s);
-  const auto n = static_cast<std::uint32_t>(next->subs.size());
+  const std::uint64_t interest =
+      interest_.load(std::memory_order_relaxed) | detail::type_bit(s->event_type);
   subs_.swap(next);
-  sub_count_.store(n, std::memory_order_release);
+  interest_.store(interest, std::memory_order_release);
   sub_epoch_.fetch_add(1, std::memory_order_release);
 }
 
@@ -154,12 +157,14 @@ void PortCore::remove_subscription(const SubscriptionRef& s) {
   const SubTable* cur = subs_.load_unlocked();
   auto* next = new SubTable;
   next->subs.reserve(cur->subs.size());
+  std::uint64_t interest = 0;
   for (const auto& existing : cur->subs) {
-    if (existing != s) next->subs.push_back(existing);
+    if (existing == s) continue;
+    next->subs.push_back(existing);
+    interest |= detail::type_bit(existing->event_type);
   }
-  const auto n = static_cast<std::uint32_t>(next->subs.size());
   subs_.swap(next);
-  sub_count_.store(n, std::memory_order_release);
+  interest_.store(interest, std::memory_order_release);
   sub_epoch_.fetch_add(1, std::memory_order_release);
 }
 

@@ -28,9 +28,14 @@
 // tables are RCU copy-on-write snapshots (rcu.hpp). dispatch/arrive/
 // has_match read a snapshot lock-free; subscribe/unsubscribe and channel
 // attach/detach serialize on `mu_`, build a new immutable table, and swap
-// it in. `sub_epoch_` increments (release) after every subscription-table
-// swap so per-component match caches (component.hpp) can validate entries
-// without re-scanning.
+// it in. After every subscription-table swap the writer stores the half's
+// interest mask (the OR of its subscriptions' type bits, event.hpp) and
+// then increments `sub_epoch_` (release), so per-component match caches
+// (component.hpp) can validate entries without re-scanning. dispatch and
+// has_match AND the mask with the event's ancestor bits before pinning the
+// subscription snapshot: a zero proves no subscription on the half accepts
+// the event, so the common "this child does not handle that type" case of
+// a composite's fan-out costs two loads and no pin.
 
 #include <atomic>
 #include <cstdint>
@@ -146,12 +151,16 @@ class PortCore {
   detail::RcuCell<const SubTable> subs_;
   detail::RcuCell<const ChanTable> chans_;
   std::atomic<std::uint64_t> sub_epoch_{0};
-  // Cached table sizes, stored (release) after each table swap. The hot
-  // paths load them (acquire) to skip pinning a snapshot of an empty table
-  // — most halves have no subscriptions or no channels. A reader that sees
-  // a stale zero linearizes before the concurrent add, exactly as if it had
-  // pinned the pre-swap snapshot.
-  std::atomic<std::uint32_t> sub_count_{0};
+  // Summaries stored (release) after each table swap and loaded (acquire)
+  // by the hot paths to skip pinning a snapshot that cannot contribute.
+  // `interest_` is the OR of type_bit(s->event_type) over the subscription
+  // table (0 for an empty table); `chan_count_` is the channel table's
+  // size. A reader that sees a stale value linearizes before the concurrent
+  // table change, exactly as if it had pinned the pre-swap snapshot: a
+  // stale mask without a just-added type reads as "before the add", and a
+  // stale mask that still has a just-removed type only costs an exact scan
+  // that skips the deactivated subscription.
+  std::atomic<std::uint64_t> interest_{0};
   std::atomic<std::uint32_t> chan_count_{0};
   // Telemetry: bumped in trigger() only while metrics are enabled, so the
   // disabled hot path never writes this line.

@@ -1,16 +1,21 @@
 // Tests for the event type registry (event.hpp) and the typed-dispatch hot
 // path built on it: TypeId ancestor chains, cross-TU id stability, parity
-// with dynamic_cast (also for an unregistered leaf class), the memoized
-// PortType::allows, trigger-rejection diagnostics, the epoch-validated
+// with dynamic_cast (also for an unregistered leaf class), the ancestor
+// masks behind the port interest filter (has_match parity, types sharing a
+// mask bit), the memoized PortType::allows, trigger-rejection diagnostics,
+// the epoch-validated
 // match cache (subscribe/unsubscribe during handling), and — in debug
 // builds — RCU table reclamation. That unregistered types cannot be match
 // targets is checked at compile time (tests/compile_fail/).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "kompics/kompics.hpp"
 #include "registry_events.hpp"
@@ -120,6 +125,54 @@ TEST(Registry, AllowsMemoAgreesAcrossRepeats) {
     EXPECT_TRUE(pt.allows(Direction::kPositive, other));
     EXPECT_FALSE(pt.allows(Direction::kPositive, mid));
     EXPECT_FALSE(pt.allows(Direction::kPositive, plain_leaf));
+  }
+}
+
+// ---- interest filter: has_match parity ------------------------------------
+
+// For every set of subscribed targets and every event of the grid,
+// PortCore::has_match (mask test, then exact scan) agrees with an
+// exhaustive accepts() scan — also while the subscriptions (two per
+// target, so a removal can leave a twin) are removed one by one and the
+// half's interest mask is rebuilt.
+TEST(Registry, HasMatchAgreesWithExhaustiveAcceptsScan) {
+  const EventTypeId targets[] = {kEventTypeRoot, BaseEv::kompics_static_type_id(),
+                                 MidEv::kompics_static_type_id(),
+                                 LeafEv::kompics_static_type_id(),
+                                 OtherEv::kompics_static_type_id()};
+  constexpr int kTargets = sizeof(targets) / sizeof(targets[0]);
+  BaseEv base;
+  MidEv mid;
+  LeafEv leaf;
+  OtherEv other;
+  PlainLeaf plain_leaf;
+  const Event* events[] = {&base, &mid, &leaf, &other, &plain_leaf};
+
+  for (int set = 0; set < (1 << kTargets); ++set) {
+    PortCore half(nullptr, &port_type<MemoPort>(), Direction::kNegative, /*inside=*/true);
+    std::vector<SubscriptionRef> subs;
+    for (int twin = 0; twin < 2; ++twin) {
+      for (int t = 0; t < kTargets; ++t) {
+        if ((set & (1 << t)) == 0) continue;
+        auto s = std::make_shared<Subscription>();
+        s->half = &half;
+        s->event_type = targets[t];
+        half.add_subscription(s);
+        subs.push_back(s);
+      }
+    }
+    for (;;) {
+      for (const Event* e : events) {
+        bool expected = false;
+        for (const auto& s : subs) expected = expected || s->accepts(e->kompics_type_id());
+        EXPECT_EQ(half.has_match(*e), expected)
+            << "subscription set " << set << ", " << subs.size() << " left, event type "
+            << e->kompics_type_id();
+      }
+      if (subs.empty()) break;
+      half.remove_subscription(subs.back());
+      subs.pop_back();
+    }
   }
 }
 
@@ -282,6 +335,92 @@ TEST(RegistryDispatch, TriggerRejectionNamesEventAndAllowedTypes) {
     EXPECT_NE(msg.find("PlainLeaf"), std::string::npos) << msg;
     EXPECT_NE(msg.find("OtherEv"), std::string::npos) << msg;  // the allowed list
   }
+  rt->shutdown();
+}
+
+// ---- interest filter: types sharing a mask bit -----------------------------
+
+// 65 registered siblings: their ids are distinct, so by pigeonhole two of
+// them are equal modulo 64 and share one interest-mask bit.
+template <int N>
+class Filler : public Event {
+  KOMPICS_EVENT(Filler, Event);
+};
+constexpr int kFillers = 65;
+
+class AnyPort : public PortType {
+ public:
+  AnyPort() {
+    set_name("Any");
+    request<Event>();
+  }
+};
+
+class FillerSink : public ComponentDefinition {
+ public:
+  template <int N>
+  void listen() {
+    subscribe<Filler<N>>(port, [this](const Filler<N>&) { seen[N].fetch_add(1); });
+  }
+  Negative<AnyPort> port = provide<AnyPort>();
+  std::array<std::atomic<int>, kFillers> seen{};
+};
+
+class FillerMain : public ComponentDefinition {
+ public:
+  FillerMain() { sink = create<FillerSink>(); }
+  Component sink;
+};
+
+struct FillerRow {
+  EventTypeId id;
+  void (FillerSink::*listen)();
+  EventPtr (*make)();
+};
+
+template <std::size_t... Is>
+std::array<FillerRow, sizeof...(Is)> filler_rows(std::index_sequence<Is...>) {
+  return {FillerRow{Filler<Is>::kompics_static_type_id(), &FillerSink::listen<Is>,
+                    +[] { return make_event<Filler<Is>>(); }}...};
+}
+
+TEST(RegistryDispatch, TypesSharingAMaskBitStillDispatchExactly) {
+  const auto rows = filler_rows(std::make_index_sequence<kFillers>{});
+  int a = -1, b = -1;
+  for (int i = 0; i < kFillers && a < 0; ++i) {
+    for (int j = i + 1; j < kFillers; ++j) {
+      if (rows[i].id % 64 == rows[j].id % 64) {
+        a = i;
+        b = j;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(a, 0);
+  // The mask cannot tell them apart: only the exact scan can.
+  ASSERT_NE(detail::ancestor_bits(rows[b].id) & detail::type_bit(rows[a].id), 0u);
+  ASSERT_NE(detail::ancestor_bits(rows[a].id) & detail::type_bit(rows[b].id), 0u);
+
+  auto rt = make_runtime();
+  auto main = rt->bootstrap<FillerMain>();
+  auto& def = main.definition_as<FillerMain>();
+  rt->await_quiescence();
+  auto& sink = def.sink.definition_as<FillerSink>();
+  PortCore* port =
+      def.sink.core()->find_port(std::type_index(typeid(AnyPort)), true)->outside.get();
+
+  (sink.*rows[a].listen)();
+  for (int i = 0; i < 3; ++i) port->trigger(rows[b].make());
+  for (int i = 0; i < 2; ++i) port->trigger(rows[a].make());
+  rt->await_quiescence();
+  EXPECT_EQ(sink.seen[a].load(), 2);
+  EXPECT_EQ(sink.seen[b].load(), 0) << "a shared mask bit must not admit the other type";
+
+  (sink.*rows[b].listen)();
+  port->trigger(rows[b].make());
+  rt->await_quiescence();
+  EXPECT_EQ(sink.seen[a].load(), 2);
+  EXPECT_EQ(sink.seen[b].load(), 1);
   rt->shutdown();
 }
 

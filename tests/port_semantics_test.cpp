@@ -1,7 +1,8 @@
 // Deep tests of the event-propagation rule (DESIGN.md §2.2 / paper §2.3):
 // composite pass-through across multiple hierarchy levels, parent
 // subscriptions on child ports, absence of loop-back, per-direction
-// filtering by port types, and subtype-based delivery.
+// filtering by port types, subtype-based delivery, and the per-half
+// interest filter that prunes dispatch before the subscription scan.
 
 #include <gtest/gtest.h>
 
@@ -322,6 +323,112 @@ TEST(PortSemantics, UnsubscribeDuringDispatchRematchesAtExecutionTime) {
   EXPECT_EQ(pruner.second_seen, 0)
       << "a handler unsubscribed by an earlier handler must not run again — not for the "
          "event being handled, nor for already-enqueued ones (execution-time re-match)";
+}
+
+// ---- interest filter (port.hpp) ----------------------------------------------
+
+/// Requires Svc and subscribes one counting handler for E on it.
+template <class E>
+class Watcher : public ComponentDefinition {
+ public:
+  Watcher() {
+    subscribe<E>(svc_, [this](const E&) { seen.fetch_add(1); });
+  }
+  Positive<Svc> svc_ = require<Svc>();
+  std::atomic<int> seen{0};
+};
+
+/// Provides Svc without handling anything; the test drives its indications.
+class Announcer : public ComponentDefinition {
+ public:
+  void announce(const EventPtr& e) { trigger(e, svc_); }
+  Negative<Svc> svc_ = provide<Svc>();
+};
+
+class FilterMain : public ComponentDefinition {
+ public:
+  FilterMain() {
+    announcer = create<Announcer>();
+    special = create<Watcher<SpecialInd>>();
+    ind = create<Watcher<Ind>>();
+    any = create<Watcher<Event>>();
+    for (Component* c : {&special, &ind, &any}) {
+      connect(announcer.provided<Svc>(), c->required<Svc>());
+    }
+  }
+  Component announcer, special, ind, any;
+};
+
+TEST(PortSemantics, InterestFilterAdmitsSubscribedTypesAndTheirSubtypesOnly) {
+  auto rt = make_runtime();
+  auto main = rt->bootstrap<FilterMain>();
+  auto& def = main.definition_as<FilterMain>();
+  rt->await_quiescence();
+  auto& announcer = def.announcer.definition_as<Announcer>();
+
+  announcer.announce(make_event<Ind>(1));
+  announcer.announce(make_event<SpecialInd>(2));
+  announcer.announce(make_event<Ind>(3));
+  rt->await_quiescence();
+
+  auto& special = def.special.definition_as<Watcher<SpecialInd>>();
+  auto& ind = def.ind.definition_as<Watcher<Ind>>();
+  auto& any = def.any.definition_as<Watcher<Event>>();
+  EXPECT_EQ(special.seen.load(), 1) << "a subtype subscription must not admit its supertype";
+  EXPECT_EQ(ind.seen.load(), 3) << "a supertype subscription admits the subtype too";
+  EXPECT_EQ(any.seen.load(), 3) << "a root subscription admits every event";
+}
+
+TEST(PortSemantics, UnsubscribingTheLastSubscriptionOfATypeStopsItsDelivery) {
+  class Twice : public ComponentDefinition {
+   public:
+    Twice() {
+      ind_sub = subscribe<Ind>(svc_, [this](const Ind&) { ind_seen.fetch_add(1); });
+      special_sub =
+          subscribe<SpecialInd>(svc_, [this](const SpecialInd&) { special_seen.fetch_add(1); });
+    }
+    void drop(const SubscriptionRef& s) { unsubscribe(s); }
+    Positive<Svc> svc_ = require<Svc>();
+    SubscriptionRef ind_sub, special_sub;
+    std::atomic<int> ind_seen{0};
+    std::atomic<int> special_seen{0};
+  };
+  class Main : public ComponentDefinition {
+   public:
+    Main() {
+      announcer = create<Announcer>();
+      twice = create<Twice>();
+      connect(announcer.provided<Svc>(), twice.required<Svc>());
+    }
+    Component announcer, twice;
+  };
+  auto rt = make_runtime();
+  auto main = rt->bootstrap<Main>();
+  auto& def = main.definition_as<Main>();
+  rt->await_quiescence();
+  auto& announcer = def.announcer.definition_as<Announcer>();
+  auto& twice = def.twice.definition_as<Twice>();
+
+  announcer.announce(make_event<SpecialInd>(1));
+  rt->await_quiescence();
+  EXPECT_EQ(twice.ind_seen.load(), 1);
+  EXPECT_EQ(twice.special_seen.load(), 1);
+
+  // Dropping the only SpecialInd subscription must clear its bit: the Ind
+  // handler still sees SpecialInds, the dropped one sees nothing more.
+  twice.drop(twice.special_sub);
+  announcer.announce(make_event<SpecialInd>(2));
+  rt->await_quiescence();
+  EXPECT_EQ(twice.ind_seen.load(), 2);
+  EXPECT_EQ(twice.special_seen.load(), 1);
+
+  // And with the last subscription gone, nothing reaches the component.
+  twice.drop(twice.ind_sub);
+  announcer.announce(make_event<SpecialInd>(3));
+  announcer.announce(make_event<Ind>(4));
+  rt->await_quiescence();
+  EXPECT_EQ(twice.ind_seen.load(), 2);
+  EXPECT_EQ(twice.special_seen.load(), 1);
 }
 
 }  // namespace

@@ -115,6 +115,12 @@ TEST(StressProtocol, TenThousandConcurrentAwaitsSurviveDestroyChurn) {
   const std::int64_t kTimeoutMs = 2000;
 #endif
   const int kUnanswered = 100;  // per survivor: frames left to their timeout
+  // Frames that will be answered get a deadline that cannot expire during
+  // the test, so a slow host delays their answers but never turns one into
+  // a timeout; only the starved frames run on kTimeoutMs.
+  const std::int64_t kAnsweredTimeoutMs = 24LL * 3600 * 1000;
+  auto starved = [&](int k) { return k % kPerClient >= kPerClient - kUnanswered; };
+  auto timeout_for = [&](int k) { return starved(k) ? kTimeoutMs : kAnsweredTimeoutMs; };
 
   auto rt = Runtime::threaded(Config{}, 4, 1);
   auto main = rt->bootstrap<ChurnMain>();
@@ -134,7 +140,7 @@ TEST(StressProtocol, TenThousandConcurrentAwaitsSurviveDestroyChurn) {
   // armed timeout.
   for (int c = 0; c < ChurnMain::kClients; ++c) {
     for (int k = 0; k < kPerClient; ++k) {
-      protocol::spawn(clients[c]->one_await(id_of(c, k), kTimeoutMs));
+      protocol::spawn(clients[c]->one_await(id_of(c, k), timeout_for(k)));
     }
   }
   rt->await_quiescence();
@@ -153,7 +159,7 @@ TEST(StressProtocol, TenThousandConcurrentAwaitsSurviveDestroyChurn) {
   // of each wave (those must complete via their timeout instead).
   for (int c = 0; c < 2; ++c) {
     for (int k = kPerClient; k < 2 * kPerClient; ++k) {
-      protocol::spawn(clients[c]->one_await(id_of(c, k), kTimeoutMs));
+      protocol::spawn(clients[c]->one_await(id_of(c, k), timeout_for(k)));
     }
   }
   // External-thread spawns start on the work queue; quiesce so every
@@ -162,8 +168,7 @@ TEST(StressProtocol, TenThousandConcurrentAwaitsSurviveDestroyChurn) {
   rt->await_quiescence();
   for (int c = 0; c < 2; ++c) {
     for (int k = 0; k < 2 * kPerClient; ++k) {
-      const bool starve = k % kPerClient >= kPerClient - kUnanswered;
-      if (!starve) service.answer(id_of(c, k));
+      if (!starved(k)) service.answer(id_of(c, k));
     }
   }
 
