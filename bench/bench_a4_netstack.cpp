@@ -20,17 +20,11 @@ class PayloadMsg : public Message {
 
  public:
   PayloadMsg(Address s, Address d, Bytes payload) : Message(s, d), payload(std::move(payload)) {}
+  static constexpr auto wire_fields() { return wire::fields(&PayloadMsg::payload); }
   Bytes payload;
 };
 
-KOMPICS_REGISTER_MESSAGE(
-    PayloadMsg, 9500,
-    [](const Message& m, BufferWriter& w) {
-      w.bytes(static_cast<const PayloadMsg&>(m).payload);
-    },
-    [](BufferReader& r, Address src, Address dst) -> MessagePtr {
-      return std::make_shared<const PayloadMsg>(src, dst, r.bytes());
-    });
+KOMPICS_REGISTER_MESSAGE(PayloadMsg, 9500);
 
 Bytes make_payload(std::size_t n, bool compressible) {
   Bytes b(n);

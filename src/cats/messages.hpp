@@ -4,6 +4,14 @@
 // serialization registry so the same components run over TcpNetwork,
 // LoopbackNetwork (codec-exercising mode), or the NetworkEmulator.
 // Wire ids 100..149 are reserved for CATS.
+//
+// Each message states its wire format once, in `wire_fields()` (see
+// net/wire.hpp). A field list must follow its constructor's parameter order
+// after (src, dst): decoding reads the fields in list order and passes them
+// to that constructor, so two same-typed fields listed in swapped order
+// still compile but swap on the wire. The nested structs' lists follow
+// their member order (aggregate initialization). tests/cats_wire_test.cpp
+// pins every message's bytes.
 
 #include <cstdint>
 #include <map>
@@ -11,40 +19,16 @@
 #include <vector>
 
 #include "cats/ports.hpp"
-#include "net/buffer.hpp"
 #include "net/network_port.hpp"
+#include "net/wire.hpp"
 
 namespace kompics::cats {
 
-using net::BufferReader;
-using net::BufferWriter;
 using net::Message;
 
 /// Call once (idempotent, thread-safe) before using CATS over a serializing
 /// network provider. Component constructors call it automatically.
 void register_cats_serializers();
-
-// ---- helpers ---------------------------------------------------------------
-
-inline void write_node_ref(BufferWriter& w, const NodeRef& n) {
-  w.u64(n.key);
-  n.addr.write(w);
-}
-inline NodeRef read_node_ref(BufferReader& r) {
-  NodeRef n;
-  n.key = r.u64();
-  n.addr = Address::read(r);
-  return n;
-}
-inline void write_node_refs(BufferWriter& w, const std::vector<NodeRef>& v) {
-  w.var_u64(v.size());
-  for (const auto& n : v) write_node_ref(w, n);
-}
-inline std::vector<NodeRef> read_node_refs(BufferReader& r) {
-  std::vector<NodeRef> v(r.var_u64());
-  for (auto& n : v) n = read_node_ref(r);
-  return v;
-}
 
 // ---- failure detector ------------------------------------------------------
 
@@ -53,6 +37,7 @@ class PingMsg : public Message {
 
  public:
   PingMsg(Address s, Address d, std::uint64_t seq) : Message(s, d), seq(seq) {}
+  static constexpr auto wire_fields() { return wire::fields(&PingMsg::seq); }
   std::uint64_t seq;
 };
 
@@ -61,6 +46,7 @@ class PongMsg : public Message {
 
  public:
   PongMsg(Address s, Address d, std::uint64_t seq) : Message(s, d), seq(seq) {}
+  static constexpr auto wire_fields() { return wire::fields(&PongMsg::seq); }
   std::uint64_t seq;
 };
 
@@ -69,6 +55,9 @@ class PongMsg : public Message {
 struct CyclonEntry {
   NodeRef node;
   std::uint32_t age = 0;
+  static constexpr auto wire_fields() {
+    return wire::fields(&CyclonEntry::node, &CyclonEntry::age);
+  }
 };
 
 class ShuffleRequestMsg : public Message {
@@ -77,6 +66,7 @@ class ShuffleRequestMsg : public Message {
  public:
   ShuffleRequestMsg(Address s, Address d, std::vector<CyclonEntry> entries)
       : Message(s, d), entries(std::move(entries)) {}
+  static constexpr auto wire_fields() { return wire::fields(&ShuffleRequestMsg::entries); }
   std::vector<CyclonEntry> entries;
 };
 
@@ -86,6 +76,7 @@ class ShuffleResponseMsg : public Message {
  public:
   ShuffleResponseMsg(Address s, Address d, std::vector<CyclonEntry> entries)
       : Message(s, d), entries(std::move(entries)) {}
+  static constexpr auto wire_fields() { return wire::fields(&ShuffleResponseMsg::entries); }
   std::vector<CyclonEntry> entries;
 };
 
@@ -103,6 +94,10 @@ class FindSuccessorMsg : public Message {
  public:
   FindSuccessorMsg(Address s, Address d, NodeRef joiner, RingKey target, std::uint32_t hops_left)
       : Message(s, d), joiner(joiner), target(target), hops_left(hops_left) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&FindSuccessorMsg::joiner, wire::fixed(&FindSuccessorMsg::target),
+                        wire::fixed(&FindSuccessorMsg::hops_left));
+  }
   NodeRef joiner;
   RingKey target;
   std::uint32_t hops_left;
@@ -114,6 +109,9 @@ class FoundSuccessorMsg : public Message {
  public:
   FoundSuccessorMsg(Address s, Address d, NodeRef successor, std::vector<NodeRef> successor_list)
       : Message(s, d), successor(successor), successor_list(std::move(successor_list)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&FoundSuccessorMsg::successor, &FoundSuccessorMsg::successor_list);
+  }
   NodeRef successor;
   std::vector<NodeRef> successor_list;
 };
@@ -124,6 +122,7 @@ class GetRingStateMsg : public Message {
 
  public:
   GetRingStateMsg(Address s, Address d, NodeRef from) : Message(s, d), from(from) {}
+  static constexpr auto wire_fields() { return wire::fields(&GetRingStateMsg::from); }
   NodeRef from;
 };
 
@@ -134,6 +133,10 @@ class RingStateMsg : public Message {
   RingStateMsg(Address s, Address d, NodeRef self, bool has_pred, NodeRef pred,
                std::vector<NodeRef> succs)
       : Message(s, d), self(self), has_pred(has_pred), pred(pred), succs(std::move(succs)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&RingStateMsg::self, &RingStateMsg::has_pred, &RingStateMsg::pred,
+                        &RingStateMsg::succs);
+  }
   NodeRef self;
   bool has_pred;
   NodeRef pred;
@@ -146,6 +149,7 @@ class NotifyMsg : public Message {
 
  public:
   NotifyMsg(Address s, Address d, NodeRef from) : Message(s, d), from(from) {}
+  static constexpr auto wire_fields() { return wire::fields(&NotifyMsg::from); }
   NodeRef from;
 };
 
@@ -154,6 +158,9 @@ class NotifyMsg : public Message {
 struct VersionTag {
   std::uint64_t counter = 0;
   std::uint64_t writer = 0;  // tie-break
+  static constexpr auto wire_fields() {
+    return wire::fields(&VersionTag::counter, wire::fixed(&VersionTag::writer));
+  }
   bool operator<(const VersionTag& o) const {
     return counter != o.counter ? counter < o.counter : writer < o.writer;
   }
@@ -172,6 +179,9 @@ class AbdReadMsg : public Message {
  public:
   AbdReadMsg(Address s, Address d, OpId op, RingKey key, std::uint64_t view)
       : Message(s, d), op(op), key(key), view(view) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&AbdReadMsg::op, wire::fixed(&AbdReadMsg::key), &AbdReadMsg::view);
+  }
   OpId op;
   RingKey key;
   std::uint64_t view;
@@ -185,6 +195,10 @@ class AbdReadAckMsg : public Message {
                 bool exists, Value value)
       : Message(s, d), op(op), key(key), view(view), tag(tag), exists(exists),
         value(std::move(value)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&AbdReadAckMsg::op, wire::fixed(&AbdReadAckMsg::key), &AbdReadAckMsg::view,
+                        &AbdReadAckMsg::tag, &AbdReadAckMsg::exists, &AbdReadAckMsg::value);
+  }
   OpId op;
   RingKey key;
   std::uint64_t view;  ///< echo of the phase message's view version
@@ -201,6 +215,10 @@ class AbdWriteMsg : public Message {
               bool exists, Value value)
       : Message(s, d), op(op), key(key), view(view), tag(tag), exists(exists),
         value(std::move(value)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&AbdWriteMsg::op, wire::fixed(&AbdWriteMsg::key), &AbdWriteMsg::view,
+                        &AbdWriteMsg::tag, &AbdWriteMsg::exists, &AbdWriteMsg::value);
+  }
   OpId op;
   RingKey key;
   std::uint64_t view;
@@ -215,6 +233,10 @@ class AbdWriteAckMsg : public Message {
  public:
   AbdWriteAckMsg(Address s, Address d, OpId op, RingKey key, std::uint64_t view)
       : Message(s, d), op(op), key(key), view(view) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&AbdWriteAckMsg::op, wire::fixed(&AbdWriteAckMsg::key),
+                        &AbdWriteAckMsg::view);
+  }
   OpId op;
   RingKey key;
   std::uint64_t view;
@@ -229,6 +251,10 @@ class AbdNackMsg : public Message {
  public:
   AbdNackMsg(Address s, Address d, OpId op, RingKey key, std::uint64_t current_version)
       : Message(s, d), op(op), key(key), current_version(current_version) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&AbdNackMsg::op, wire::fixed(&AbdNackMsg::key),
+                        &AbdNackMsg::current_version);
+  }
   OpId op;
   RingKey key;
   std::uint64_t current_version;  ///< replica's installed version (0 = none)
@@ -246,6 +272,11 @@ class RouteLookupMsg : public Message {
   RouteLookupMsg(Address s, Address d, NodeRef origin, OpId op, RingKey key,
                  std::uint32_t group_size, std::uint32_t ttl)
       : Message(s, d), origin(origin), op(op), key(key), group_size(group_size), ttl(ttl) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&RouteLookupMsg::origin, &RouteLookupMsg::op,
+                        wire::fixed(&RouteLookupMsg::key), &RouteLookupMsg::group_size,
+                        &RouteLookupMsg::ttl);
+  }
   NodeRef origin;
   OpId op;
   RingKey key;
@@ -260,6 +291,10 @@ class LookupResultMsg : public Message {
   LookupResultMsg(Address s, Address d, OpId op, RingKey key, std::vector<NodeRef> group,
                   std::uint64_t view_version = 0)
       : Message(s, d), op(op), key(key), group(std::move(group)), view_version(view_version) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&LookupResultMsg::op, wire::fixed(&LookupResultMsg::key),
+                        &LookupResultMsg::group, &LookupResultMsg::view_version);
+  }
   OpId op;
   RingKey key;
   std::vector<NodeRef> group;
@@ -280,6 +315,9 @@ class LookupResultMsg : public Message {
 struct Ballot {
   std::uint64_t round = 0;
   std::uint64_t proposer = 0;
+  static constexpr auto wire_fields() {
+    return wire::fields(&Ballot::round, wire::fixed(&Ballot::proposer));
+  }
   bool operator<(const Ballot& o) const {
     return round != o.round ? round < o.round : proposer < o.proposer;
   }
@@ -292,6 +330,9 @@ struct KeyState {
   RingKey key = 0;
   VersionTag tag{};
   Value value;
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&KeyState::key), &KeyState::tag, &KeyState::value);
+  }
 };
 
 /// Phase 1a: fence the range (range_lo, range_hi] at version target-1 and
@@ -303,6 +344,11 @@ class ViewPrepareMsg : public Message {
   ViewPrepareMsg(Address s, Address d, RingKey range_lo, RingKey range_hi, std::uint64_t target,
                  Ballot ballot)
       : Message(s, d), range_lo(range_lo), range_hi(range_hi), target(target), ballot(ballot) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewPrepareMsg::range_lo),
+                        wire::fixed(&ViewPrepareMsg::range_hi), &ViewPrepareMsg::target,
+                        &ViewPrepareMsg::ballot);
+  }
   RingKey range_lo;
   RingKey range_hi;
   std::uint64_t target;
@@ -325,6 +371,13 @@ class ViewPromiseMsg : public Message {
         promised(promised), has_accepted(has_accepted), accepted_ballot(accepted_ballot),
         accepted_children(std::move(accepted_children)), catchup(std::move(catchup)),
         state(std::move(state)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewPromiseMsg::range_hi), &ViewPromiseMsg::target,
+                        &ViewPromiseMsg::ballot, &ViewPromiseMsg::ok, &ViewPromiseMsg::promised,
+                        &ViewPromiseMsg::has_accepted, &ViewPromiseMsg::accepted_ballot,
+                        &ViewPromiseMsg::accepted_children, &ViewPromiseMsg::catchup,
+                        &ViewPromiseMsg::state);
+  }
   RingKey range_hi;
   std::uint64_t target;
   Ballot ballot;  ///< the prepare's ballot, echoed for matching
@@ -347,6 +400,11 @@ class ViewAcceptMsg : public Message {
                 Ballot ballot, std::vector<GroupView> children)
       : Message(s, d), range_lo(range_lo), range_hi(range_hi), target(target), ballot(ballot),
         children(std::move(children)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewAcceptMsg::range_lo),
+                        wire::fixed(&ViewAcceptMsg::range_hi), &ViewAcceptMsg::target,
+                        &ViewAcceptMsg::ballot, &ViewAcceptMsg::children);
+  }
   RingKey range_lo;
   RingKey range_hi;
   std::uint64_t target;
@@ -362,6 +420,10 @@ class ViewAcceptedMsg : public Message {
   ViewAcceptedMsg(Address s, Address d, RingKey range_hi, std::uint64_t target, Ballot ballot,
                   bool ok)
       : Message(s, d), range_hi(range_hi), target(target), ballot(ballot), ok(ok) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewAcceptedMsg::range_hi), &ViewAcceptedMsg::target,
+                        &ViewAcceptedMsg::ballot, &ViewAcceptedMsg::ok);
+  }
   RingKey range_hi;
   std::uint64_t target;
   Ballot ballot;
@@ -379,6 +441,10 @@ class ViewInstallMsg : public Message {
   ViewInstallMsg(Address s, Address d, RingKey parent_hi, GroupView child,
                  std::vector<KeyState> state)
       : Message(s, d), parent_hi(parent_hi), child(std::move(child)), state(std::move(state)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewInstallMsg::parent_hi), &ViewInstallMsg::child,
+                        &ViewInstallMsg::state);
+  }
   RingKey parent_hi;
   GroupView child;
   std::vector<KeyState> state;
@@ -391,6 +457,10 @@ class ViewInstallAckMsg : public Message {
   ViewInstallAckMsg(Address s, Address d, RingKey parent_hi, RingKey child_hi,
                     std::uint64_t version)
       : Message(s, d), parent_hi(parent_hi), child_hi(child_hi), version(version) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewInstallAckMsg::parent_hi),
+                        wire::fixed(&ViewInstallAckMsg::child_hi), &ViewInstallAckMsg::version);
+  }
   RingKey parent_hi;
   RingKey child_hi;
   std::uint64_t version;
@@ -407,6 +477,9 @@ class ViewFetchMsg : public Message {
  public:
   ViewFetchMsg(Address s, Address d, RingKey lo, RingKey hi)
       : Message(s, d), lo(lo), hi(hi) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&ViewFetchMsg::lo), wire::fixed(&ViewFetchMsg::hi));
+  }
   RingKey lo;
   RingKey hi;
 };
@@ -418,6 +491,7 @@ class BootstrapRequestMsg : public Message {
 
  public:
   BootstrapRequestMsg(Address s, Address d, NodeRef self) : Message(s, d), self(self) {}
+  static constexpr auto wire_fields() { return wire::fields(&BootstrapRequestMsg::self); }
   NodeRef self;
 };
 
@@ -427,6 +501,7 @@ class BootstrapResponseMsg : public Message {
  public:
   BootstrapResponseMsg(Address s, Address d, std::vector<NodeRef> peers)
       : Message(s, d), peers(std::move(peers)) {}
+  static constexpr auto wire_fields() { return wire::fields(&BootstrapResponseMsg::peers); }
   std::vector<NodeRef> peers;
 };
 
@@ -435,6 +510,7 @@ class KeepAliveMsg : public Message {
 
  public:
   KeepAliveMsg(Address s, Address d, NodeRef self) : Message(s, d), self(self) {}
+  static constexpr auto wire_fields() { return wire::fields(&KeepAliveMsg::self); }
   NodeRef self;
 };
 
@@ -447,6 +523,9 @@ class StatusReportMsg : public Message {
   StatusReportMsg(Address s, Address d, NodeRef node,
                   std::map<std::string, std::string> fields)
       : Message(s, d), node(node), fields(std::move(fields)) {}
+  static constexpr auto wire_fields() {
+    return wire::fields(&StatusReportMsg::node, &StatusReportMsg::fields);
+  }
   NodeRef node;
   std::map<std::string, std::string> fields;
 };

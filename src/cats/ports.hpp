@@ -22,11 +22,13 @@
 #include "kompics/event.hpp"
 #include "kompics/port_type.hpp"
 #include "net/address.hpp"
+#include "net/wire.hpp"
 #include "cats/ring_key.hpp"
 
 namespace kompics::cats {
 
 using net::Address;
+namespace wire = net::wire;
 using Value = std::vector<std::uint8_t>;
 using OpId = std::uint64_t;
 
@@ -95,6 +97,9 @@ class PutGet : public PortType {
 struct NodeRef {
   RingKey key = 0;
   Address addr{};
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&NodeRef::key), &NodeRef::addr);
+  }
   bool operator==(const NodeRef& o) const { return key == o.key && addr == o.addr; }
   bool operator!=(const NodeRef& o) const { return !(*this == o); }
 };
@@ -211,6 +216,10 @@ struct GroupView {
   RingKey hi = 0;
   std::uint64_t version = 0;
   std::vector<NodeRef> members;
+  static constexpr auto wire_fields() {
+    return wire::fields(wire::fixed(&GroupView::lo), wire::fixed(&GroupView::hi),
+                             &GroupView::version, &GroupView::members);
+  }
   bool covers(RingKey k) const { return in_interval_oc(lo, hi, k); }
   bool has_member(const Address& a) const {
     for (const auto& m : members) {

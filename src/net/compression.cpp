@@ -84,20 +84,32 @@ std::size_t compress(const Bytes& in, Bytes& out) {
 Bytes decompress(const std::uint8_t* data, std::size_t size) {
   BufferReader r(data, size);
   const std::uint64_t expected = r.var_u64();
+  // The stream comes from a peer: trust neither the declared size nor any
+  // token's length. No token expands past kMaxMatch bytes per input byte,
+  // so a larger declaration is a lie, and no token may grow the output past
+  // the declared size.
+  if (expected / kMaxMatch > r.remaining()) throw std::runtime_error("kz: declared size too large");
   Bytes out;
   out.reserve(expected);
+  const auto make_room = [&](std::uint64_t n) {
+    if (n > expected - out.size()) throw std::runtime_error("kz: output exceeds declared size");
+  };
   while (r.remaining() > 0) {
     const std::uint8_t tag = r.u8();
     if (tag == 0x00) {
       const std::uint64_t len = r.var_u64();
       if (r.remaining() < len) throw std::runtime_error("kz: truncated literal run");
+      make_room(len);
       out.insert(out.end(), r.cursor(), r.cursor() + len);
       r.skip(len);
     } else if (tag == 0x01) {
       const std::uint64_t distance = r.var_u64();
       const std::uint64_t length = r.var_u64();
       if (distance == 0 || distance > out.size()) throw std::runtime_error("kz: bad distance");
-      if (length < kMinMatch) throw std::runtime_error("kz: bad match length");
+      if (length < kMinMatch || length > kMaxMatch) {
+        throw std::runtime_error("kz: bad match length");
+      }
+      make_room(length);
       // Byte-by-byte copy: overlapping matches (distance < length) replicate.
       std::size_t src = out.size() - distance;
       for (std::uint64_t i = 0; i < length; ++i) out.push_back(out[src + i]);

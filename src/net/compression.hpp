@@ -20,7 +20,8 @@ namespace kompics::net::kz {
 std::size_t compress(const Bytes& in, Bytes& out);
 
 /// Decompresses a stream produced by compress. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including any stream that would expand past its
+/// declared size; the output never grows beyond that size.
 Bytes decompress(const std::uint8_t* data, std::size_t size);
 inline Bytes decompress(const Bytes& in) { return decompress(in.data(), in.size()); }
 

@@ -2,21 +2,29 @@
 
 // Message serialization registry (paper §3: "each of these components
 // implements automatic connection management, message serialization, and
-// Zlib compression"; the Java implementation used Kryo — we hand-roll the
-// equivalent).
+// Zlib compression"; the Java implementation let Kryo derive each wire
+// format from the class's fields).
 //
-// Each concrete Message subtype registers a numeric wire id plus encode /
-// decode functions. The registry then turns any registered message into a
-// self-describing byte string and back:
+// Each concrete Message subtype declares its payload once, as a field list
+// (net/wire.hpp), and registers a numeric wire id. The registry then turns
+// any registered message into a self-describing byte string and back:
 //
 //   [var_u64 wire id][source address][destination address][payload...]
 //
-// Registration is usually done once at startup via the helper macro:
+// The payload is the field list encoded in order; decoding builds the
+// message through its (src, dst, fields...) constructor:
 //
-//   KOMPICS_REGISTER_MESSAGE(MyMsg, 17, encodeFn, decodeFn);
+//   class MyMsg : public Message {
+//     KOMPICS_EVENT(MyMsg, Message);
+//    public:
+//     MyMsg(Address s, Address d, std::uint64_t seq, Bytes body);
+//     static constexpr auto wire_fields() { return wire::fields(&MyMsg::seq, &MyMsg::body); }
+//     std::uint64_t seq;
+//     Bytes body;
+//   };
+//   KOMPICS_REGISTER_MESSAGE(MyMsg, 17);  // or registry.register_message<MyMsg>(17)
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -26,23 +34,26 @@
 #include "net/address.hpp"
 #include "net/buffer.hpp"
 #include "net/network_port.hpp"
+#include "net/wire.hpp"
 
 namespace kompics::net {
 
 class SerializationRegistry {
  public:
-  using Encode = std::function<void(const Message&, BufferWriter&)>;
-  /// Decoders receive the already-parsed addresses plus the payload reader.
-  using Decode = std::function<MessagePtr(BufferReader&, Address src, Address dst)>;
-
   static SerializationRegistry& instance() {
     static SerializationRegistry registry;
     return registry;
   }
 
+  /// Registers T under `wire_id`, encoded and decoded by T::wire_fields().
   template <class T>
-  void register_message(std::uint64_t wire_id, Encode encode, Decode decode) {
+  void register_message(std::uint64_t wire_id) {
     static_assert(std::is_base_of_v<Message, T>, "T must derive from net::Message");
+    const Entry entry{
+        [](const Message& m, BufferWriter& w) { wire::write_fields(w, static_cast<const T&>(m)); },
+        [](BufferReader& r, Address src, Address dst) -> MessagePtr {
+          return wire::read_shared<T>(r, src, dst);
+        }};
     std::lock_guard<std::mutex> g(mu_);
     if (by_id_.count(wire_id) != 0) {
       // Idempotent re-registration of the same type is fine (static init in
@@ -53,7 +64,7 @@ class SerializationRegistry {
       }
       throw std::logic_error("wire id already registered: " + std::to_string(wire_id));
     }
-    by_id_[wire_id] = Entry{std::move(encode), std::move(decode)};
+    by_id_[wire_id] = entry;
     id_by_type_[std::type_index(typeid(T))] = wire_id;
   }
 
@@ -105,8 +116,9 @@ class SerializationRegistry {
 
  private:
   struct Entry {
-    Encode encode;
-    Decode decode;
+    void (*encode)(const Message&, BufferWriter&);
+    /// Receives the already-parsed addresses plus the payload reader.
+    MessagePtr (*decode)(BufferReader&, Address src, Address dst);
   };
 
   mutable std::mutex mu_;
@@ -144,13 +156,12 @@ struct TraceTrailer {
 };
 
 /// Static-initialization helper: expands to a one-time registration.
-#define KOMPICS_REGISTER_MESSAGE(Type, WireId, EncodeFn, DecodeFn)                       \
-  namespace {                                                                            \
-  const bool kompics_reg_##Type = [] {                                                   \
-    ::kompics::net::SerializationRegistry::instance().register_message<Type>(           \
-        (WireId), (EncodeFn), (DecodeFn));                                               \
-    return true;                                                                         \
-  }();                                                                                   \
+#define KOMPICS_REGISTER_MESSAGE(Type, WireId)                                          \
+  namespace {                                                                           \
+  const bool kompics_reg_##Type = [] {                                                  \
+    ::kompics::net::SerializationRegistry::instance().register_message<Type>((WireId)); \
+    return true;                                                                        \
+  }();                                                                                  \
   }
 
 }  // namespace kompics::net

@@ -106,6 +106,32 @@ TEST(Kz, MalformedInputThrows) {
   EXPECT_THROW(kz::decompress(bogus), std::runtime_error);
 }
 
+// A compressed frame comes from any peer. These streams each used to be
+// expanded (or reserved) in full before the final size check rejected them.
+TEST(Kz, DecompressionBombIsRejectedPromptly) {
+  // 14 bytes: declares 64 bytes, 4 literals, then one match of 2^30 bytes.
+  const Bytes bomb{0x40, 0x00, 0x04, 'a',  'b',  'c',  'd',
+                   0x01, 0x01, 0x80, 0x80, 0x80, 0x80, 0x04};
+  EXPECT_THROW(kz::decompress(bomb), std::runtime_error);
+}
+
+TEST(Kz, StreamsThatOutgrowTheirDeclaredSizeAreRejected) {
+  // Match longer than the compressor ever emits (2^16 + 1), declared size
+  // to match.
+  EXPECT_THROW(kz::decompress(Bytes{0x85, 0x80, 0x04, 0x00, 0x04, 'a', 'b', 'c', 'd', 0x01, 0x01,
+                                    0x81, 0x80, 0x04}),
+               std::runtime_error);
+  // A legal match length that still runs past the declared 8 bytes.
+  EXPECT_THROW(kz::decompress(Bytes{0x08, 0x00, 0x04, 'a', 'b', 'c', 'd', 0x01, 0x01, 0x05}),
+               std::runtime_error);
+  // A literal run longer than the declared 2 bytes.
+  EXPECT_THROW(kz::decompress(Bytes{0x02, 0x00, 0x03, 'a', 'b', 'c'}), std::runtime_error);
+  // 2^40 bytes declared by a 4-byte body: more than any stream that short
+  // can expand to, so nothing is reserved for it.
+  EXPECT_THROW(kz::decompress(Bytes{0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00, 0x02, 'a', 'b'}),
+               std::runtime_error);
+}
+
 class KzRandomRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(KzRandomRoundTrip, RoundTripsExactly) {
@@ -136,22 +162,12 @@ class TestPing : public Message {
  public:
   TestPing(Address s, Address d, std::uint64_t n, std::string text)
       : Message(s, d), n(n), text(std::move(text)) {}
+  static constexpr auto wire_fields() { return wire::fields(&TestPing::n, &TestPing::text); }
   std::uint64_t n;
   std::string text;
 };
 
-KOMPICS_REGISTER_MESSAGE(
-    TestPing, 9001,
-    [](const Message& m, BufferWriter& w) {
-      const auto& p = static_cast<const TestPing&>(m);
-      w.var_u64(p.n);
-      w.str(p.text);
-    },
-    [](BufferReader& r, Address src, Address dst) -> MessagePtr {
-      const std::uint64_t n = r.var_u64();
-      std::string text = r.str();
-      return std::make_shared<const TestPing>(src, dst, n, std::move(text));
-    });
+KOMPICS_REGISTER_MESSAGE(TestPing, 9001);
 
 TEST(Serialization, RoundTrip) {
   TestPing p(Address::node(1, 10), Address::node(2, 20), 77, "hello");

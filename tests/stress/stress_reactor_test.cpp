@@ -39,17 +39,11 @@ class Chunk : public net::Message {
 
  public:
   Chunk(Address s, Address d, Bytes payload) : Message(s, d), payload(std::move(payload)) {}
+  static constexpr auto wire_fields() { return net::wire::fields(&Chunk::payload); }
   Bytes payload;
 };
 
-KOMPICS_REGISTER_MESSAGE(
-    Chunk, 9300,
-    [](const net::Message& m, net::BufferWriter& w) {
-      w.bytes(static_cast<const Chunk&>(m).payload);
-    },
-    [](net::BufferReader& r, Address src, Address dst) -> net::MessagePtr {
-      return std::make_shared<const Chunk>(src, dst, r.bytes());
-    });
+KOMPICS_REGISTER_MESSAGE(Chunk, 9300);
 
 struct PumpTick : timing::Timeout {
   KOMPICS_EVENT(PumpTick, timing::Timeout);

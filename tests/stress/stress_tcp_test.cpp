@@ -27,21 +27,12 @@ class Blob : public Message {
  public:
   Blob(Address s, Address d, std::uint64_t seq, Bytes payload)
       : Message(s, d), seq(seq), payload(std::move(payload)) {}
+  static constexpr auto wire_fields() { return wire::fields(&Blob::seq, &Blob::payload); }
   std::uint64_t seq;
   Bytes payload;
 };
 
-KOMPICS_REGISTER_MESSAGE(
-    Blob, 9200,
-    [](const Message& m, BufferWriter& w) {
-      const auto& b = static_cast<const Blob&>(m);
-      w.var_u64(b.seq);
-      w.bytes(b.payload);
-    },
-    [](BufferReader& r, Address src, Address dst) -> MessagePtr {
-      const std::uint64_t seq = r.var_u64();
-      return std::make_shared<const Blob>(src, dst, seq, r.bytes());
-    });
+KOMPICS_REGISTER_MESSAGE(Blob, 9200);
 
 class Endpoint : public ComponentDefinition {
  public:
