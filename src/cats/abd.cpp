@@ -115,6 +115,7 @@ ConsistentABD::ConsistentABD() {
     fields["ops_inflight"] = std::to_string(ops_.size());
     fields["puts_ok"] = std::to_string(counters_.puts_ok);
     fields["gets_ok"] = std::to_string(counters_.gets_ok);
+    fields["fast_reads"] = std::to_string(counters_.fast_reads);
     fields["ops_failed"] = std::to_string(counters_.ops_failed);
     fields["retries"] = std::to_string(counters_.retries);
     fields["ranges_held"] = std::to_string(ranges_.size());
@@ -158,8 +159,23 @@ protocol::Proto<void> ConsistentABD::run_op(OpId internal) {
       // (A retried put whose tag is already fixed goes straight to idempotent
       // write retransmission; a fresh read phase must not re-tag the value.)
       ok = co_await read_round(internal, deadline);
-      if (ok && op.type == OpType::kGet && !op.max_exists) {
-        complete_op(op, true);  // nothing to impose: answer "not found"
+      if (ok && op.type == OpType::kGet && op.read_agreed) {
+        // Fast read: the write-back would establish nothing new, so skip it.
+        // - The counted acks are a majority of the view this op was
+        //   coordinated under (count_ack view-gates and dedups them), and
+        //   all of them hold the max (tag, exists). That is exactly the
+        //   state the write-back would create.
+        // - Any later read or put quorum in that view intersects that
+        //   majority, and replicas never lower a tag.
+        // - A view change carries state by the max-tag merge of a majority
+        //   of the old view's promise dumps (abd_views.cpp); that majority
+        //   intersects this one too, and a replica that promised first is
+        //   fenced and would have nacked instead of acking.
+        // - Tags are unique per put (derive_seed(self_.key, internal)), so
+        //   equal tags mean equal values.
+        // An all-"not found" quorum is the same case: nothing to impose.
+        ++counters_.fast_reads;
+        complete_op(op, true);
         co_return;
       }
     }
@@ -199,6 +215,7 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
   op.max_tag = VersionTag{};
   op.max_exists = false;
   op.max_value.clear();
+  op.read_agreed = true;
   const OpId wid = wire_id(internal, op.attempt);
   // Open the stream BEFORE asking: a same-thread router can answer inline.
   auto responses = co_await router_.open<LookupResponse>(
@@ -273,6 +290,11 @@ protocol::Proto<bool> ConsistentABD::read_round(OpId internal,
         }
       },
       [&op](const AbdReadAckMsg& ack) {
+        // count_ack has already recorded this ack: from the second one on,
+        // any difference from the running max breaks the agreement.
+        if (op.acked.size() > 1 && (ack.tag != op.max_tag || ack.exists != op.max_exists)) {
+          op.read_agreed = false;
+        }
         if (op.max_tag < ack.tag || (!op.max_exists && ack.exists)) {
           op.max_tag = ack.tag;
           op.max_exists = ack.exists;

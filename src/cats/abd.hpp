@@ -8,9 +8,15 @@
 // Put(k, v):  phase 1 queries a majority of the group for version tags and
 //             picks max; phase 2 writes (max.counter + 1, self) to a
 //             majority.
-// Get(k):     phase 1 reads (tag, value) from a majority; phase 2 imposes
+// Get(k):     phase 1 reads (tag, value) from a majority. If every counted
+//             ack carried the same (tag, exists), that majority already holds
+//             the maximum and the get answers after one round trip (the ABD
+//             fast read; counted as fast_reads). Otherwise phase 2 imposes
 //             the maximum back onto a majority before responding (the ABD
 //             write-back, which is what makes concurrent reads linearizable).
+//             The paper's Fig. 11 always imposes; skipping an impose that
+//             would rewrite what a majority holds keeps the same guarantee
+//             (argument at the fast-read return in run_op).
 //
 // Consistent quorums (CATS tech report [11]): every replica group is a
 // versioned view over a key range. Phase messages carry the view version
@@ -58,6 +64,7 @@ class ConsistentABD : public ComponentDefinition {
   struct Counters {
     std::uint64_t puts_ok = 0;
     std::uint64_t gets_ok = 0;
+    std::uint64_t fast_reads = 0;  ///< gets answered after one round trip (no write-back)
     std::uint64_t ops_failed = 0;
     std::uint64_t retries = 0;
     // Phase the op was in when it finally gave up (diagnosis of failures).
@@ -118,6 +125,9 @@ class ConsistentABD : public ComponentDefinition {
     VersionTag max_tag{};
     bool max_exists = false;
     Value max_value;
+    /// Every ack counted in this attempt's read phase carried the same
+    /// (tag, exists): a get then answers without the write-back.
+    bool read_agreed = true;
     int retries_left = 0;
     std::uint8_t attempt = 0;  ///< retry epoch, embedded in wire op ids
     // A put chooses its version tag exactly once. Retries retransmit the

@@ -12,6 +12,7 @@
 // so a given seed replays the exact same run.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -84,6 +85,13 @@ class SimNetworkHub {
     oneway_blocked_.clear();
   }
 
+  /// Drops every message `drop` selects (counted as lost): targeted faults
+  /// such as one coordinator's writes to chosen replicas. An empty function
+  /// clears it.
+  void set_drop_filter(std::function<bool(const net::Message&)> drop) {
+    drop_ = std::move(drop);
+  }
+
   void send(const net::MessagePtr& m);
 
   struct Stats {
@@ -121,6 +129,7 @@ class SimNetworkHub {
   std::unordered_map<std::uint32_t, int> group_;
   std::unordered_set<std::uint64_t> oneway_blocked_;  // (from << 32 | to) host pairs
   std::unordered_map<std::uint64_t, TimeMs> last_delivery_;  // (src,dst) key -> time, for fifo
+  std::function<bool(const net::Message&)> drop_;
   Stats stats_;
 };
 
@@ -189,6 +198,10 @@ inline void SimNetworkHub::send(const net::MessagePtr& m) {
   }
   if (!reachable(m->source(), m->destination())) {
     ++stats_.partitioned;
+    return;
+  }
+  if (drop_ && drop_(*m)) {
+    ++stats_.lost;
     return;
   }
   if (model_.loss > 0.0 && rng_.next_double() < model_.loss) {

@@ -203,6 +203,11 @@ TEST_F(AbdFixture, GetOfAbsentKeySkipsImpose) {
   ASSERT_EQ(world->get_responses.size(), 1u);
   EXPECT_TRUE(world->get_responses[0].ok);
   EXPECT_FALSE(world->get_responses[0].found);
+  world->request_status(1);
+  step();
+  ASSERT_EQ(world->statuses.size(), 1u);
+  EXPECT_EQ(world->statuses[0].fields.at("fast_reads"), "1")
+      << "a not-found answer is a fast read too";
 }
 
 TEST_F(AbdFixture, RetriedPutRetransmitsTheSameTag) {

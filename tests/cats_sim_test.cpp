@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <random>
 #include <set>
 
+#include "cats/abd.hpp"
 #include "cats/cats_simulator.hpp"
 #include "cats/linearizability.hpp"
 #include "sim/scenario.hpp"
@@ -230,6 +233,73 @@ TEST(CatsLinearizability, LinearizableUnderChurn) {
   w.settle(1000);
   w.cats->get(70, k);
   w.settle(30000);  // let everything (including retries) finish
+
+  const auto result = check_history(w.cats->history());
+  EXPECT_TRUE(result.linearizable) << result.explanation;
+}
+
+TEST(CatsLinearizability, FastAndImposedReadsOverAPartialWriteStayLinearizable) {
+  // Each put's write phase reaches only one replica of three, leaving the
+  // new value on a minority. A get whose read quorum includes that replica
+  // sees disagreeing tags and must impose the value before answering; a get
+  // whose quorum agrees answers after one round trip. Gets from two
+  // coordinators interleave over the key, so the history mixes both kinds,
+  // and a fast read that skipped a needed write-back shows up as a read of
+  // the new value followed by a read of the old one.
+  CatsParams params;
+  params.op_timeout_ms = 800;
+  World w(/*seed=*/21, LinkModel{1, 20, 0.0, false}, params);
+  const std::vector<std::uint64_t> ids{10, 20, 30, 40, 50};
+  w.boot(ids);
+  w.settle(10000);
+  ASSERT_EQ(w.cats->ready_count(), ids.size());
+
+  const RingKey k = hash_to_ring("fast-read");
+  std::optional<GroupView> view;
+  for (auto id : ids) {
+    view = w.cats->node(id).abd.definition_as<ConsistentABD>().view_covering(k);
+    if (view) break;
+  }
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->members.size(), 3u);
+  const Address lone_replica = view->members[0].addr;
+
+  // The putter and the two get coordinators are distinct nodes.
+  const std::uint64_t putter = 10, reader_a = 30, reader_b = 50;
+  const Address putter_addr = w.cats->node(putter).self().addr;
+
+  w.cats->put(20, k, val("v0"));
+  w.settle(2000);
+
+  std::uint64_t dropped = 0;
+  w.hub->set_drop_filter([&](const net::Message& m) {
+    const bool drop = m.source() == putter_addr && m.destination() != lone_replica &&
+                      event_is<AbdWriteMsg>(m);
+    dropped += drop ? 1 : 0;
+    return drop;
+  });
+  std::mt19937_64 rng(3);
+  constexpr int kRounds = 6, kGetsPerRound = 8;
+  for (int round = 1; round <= kRounds; ++round) {
+    w.cats->put(putter, k, val("v" + std::to_string(round)));
+    for (int i = 0; i < kGetsPerRound; ++i) {
+      w.cats->get(i % 2 == 0 ? reader_a : reader_b, k);
+      w.settle(static_cast<DurationMs>(rng() % 40));
+    }
+    w.settle(200);
+  }
+  w.settle(10000);  // the puts exhaust their retries; every get completes
+
+  std::uint64_t gets_ok = 0, fast_reads = 0;
+  for (auto id : ids) {
+    const auto& c = w.cats->node(id).abd.definition_as<ConsistentABD>().counters();
+    gets_ok += c.gets_ok;
+    fast_reads += c.fast_reads;
+  }
+  EXPECT_GT(dropped, 0u) << "the puts' writes to two replicas were dropped";
+  EXPECT_EQ(gets_ok, static_cast<std::uint64_t>(kRounds * kGetsPerRound));
+  EXPECT_GT(fast_reads, 0u) << "some read quorum agreed";
+  EXPECT_LT(fast_reads, gets_ok) << "some read quorum saw a lone new value";
 
   const auto result = check_history(w.cats->history());
   EXPECT_TRUE(result.linearizable) << result.explanation;

@@ -135,6 +135,128 @@ TEST_F(AbdDslTest, GetImposesMaxValueBeforeResponding) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
+TEST_F(AbdDslTest, GetWithAgreeingQuorumAnswersWithoutWriteBack) {
+  LookupRequest lookup{0, 0, 0};
+  std::vector<AbdReadMsg> reads;
+
+  ctx->trigger(putget, make_event<GetRequest>(4, 7))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
+      .trigger(router, [&] { return lookup_answer(lookup, 1); })
+      .repeat(3)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
+      .end_repeat()
+      // Both counted acks hold {4,40}->0xC: a majority already has the max,
+      // so the answer comes right after the read phase.
+      .trigger(net, [&] {
+        return read_ack(reads[0], VersionTag{4, 40}, true, Value{0xC}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads[1], VersionTag{4, 40}, true, Value{0xC}, Address::node(20));
+      })
+      .expect<GetResponse>(putget, [](const GetResponse& r) {
+        return r.ok && r.id == 4 && r.found && r.value == Value{0xC};
+      })
+      .expect_silence(300)  // no AbdWriteMsg, before or after the answer
+      .exec([&] {
+        EXPECT_EQ(abd().counters().fast_reads, 1u);
+        EXPECT_EQ(abd().counters().gets_ok, 1u);
+      });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST_F(AbdDslTest, GetWithOneMissingReplicaStillImposes) {
+  LookupRequest lookup{0, 0, 0};
+  std::vector<AbdReadMsg> reads;
+  std::vector<AbdWriteMsg> writes;
+
+  ctx->trigger(putget, make_event<GetRequest>(5, 7))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
+      .trigger(router, [&] { return lookup_answer(lookup, 1); })
+      .repeat(3)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
+      .end_repeat()
+      // One replica has never seen the key, the other holds {2,20}->0xD:
+      // the value is on only one replica of the quorum, so it must be
+      // written back before the answer.
+      .trigger(net, [&] { return read_ack(reads[0], VersionTag{}, false, {}, Address::node(10)); })
+      .trigger(net, [&] {
+        return read_ack(reads[1], VersionTag{2, 20}, true, Value{0xD}, Address::node(20));
+      })
+      .repeat(3)
+      .expect<AbdWriteMsg>(net, [&](const AbdWriteMsg& m) { writes.push_back(m); })
+      .end_repeat()
+      .exec([&] {
+        ASSERT_EQ(writes.size(), 3u);
+        EXPECT_EQ(writes[0].tag, (VersionTag{2, 20}));
+        EXPECT_TRUE(writes[0].exists);
+      })
+      .trigger(net, [&] { return write_ack(writes[0], Address::node(10)); })
+      .trigger(net, [&] { return write_ack(writes[1], Address::node(20)); })
+      .expect<GetResponse>(putget, [](const GetResponse& r) {
+        return r.ok && r.found && r.value == Value{0xD};
+      })
+      .exec([&] { EXPECT_EQ(abd().counters().fast_reads, 0u); });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST_F(AbdDslTest, ReadAgreementIsDecidedPerAttempt) {
+  // Five replicas (quorum 3), so attempt 0 can count two disagreeing acks
+  // without reaching its quorum. Its deadline then retries; attempt 1's
+  // acks all agree and must decide on their own.
+  group.push_back(NodeRef{40, Address::node(40)});
+  group.push_back(NodeRef{50, Address::node(50)});
+  LookupRequest lookup{0, 0, 0};
+  std::vector<AbdReadMsg> reads0, reads1;
+
+  ctx->trigger(putget, make_event<GetRequest>(6, 7))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
+      .trigger(router, [&] { return lookup_answer(lookup, 1); })
+      .repeat(5)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads0.push_back(m); })
+      .end_repeat()
+      .trigger(net, [&] {
+        return read_ack(reads0[0], VersionTag{3, 30}, true, Value{0xA}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads0[1], VersionTag{4, 40}, true, Value{0xB}, Address::node(20));
+      })
+      // Attempt 0's deadline (op_timeout_ms = 1000) fires: fresh lookup.
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
+      .trigger(router, [&] { return lookup_answer(lookup, 1); })
+      .repeat(5)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads1.push_back(m); })
+      .end_repeat()
+      .exec([&] { EXPECT_NE(reads1[0].op, reads0[0].op) << "a retry uses a fresh wire id"; })
+      // A late attempt-0 ack with yet another tag must not count at all.
+      .trigger(net, [&] {
+        return read_ack(reads0[2], VersionTag{9, 90}, true, Value{0xE}, Address::node(30));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads1[0], VersionTag{4, 40}, true, Value{0xB}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads1[1], VersionTag{4, 40}, true, Value{0xB}, Address::node(20));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads1[2], VersionTag{4, 40}, true, Value{0xB}, Address::node(30));
+      })
+      .expect<GetResponse>(putget, [](const GetResponse& r) {
+        return r.ok && r.found && r.value == Value{0xB};
+      })
+      .expect_silence(300)
+      .exec([&] {
+        EXPECT_EQ(abd().counters().fast_reads, 1u);
+        EXPECT_EQ(abd().counters().retries, 1u);
+      });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
 TEST_F(AbdDslTest, DuplicatedAcksFromOneReplicaDoNotCompleteQuorum) {
   // Pre-fix, quorum progress was a raw counter (++acks): duplicated
   // deliveries of one replica's ack (retransmitting transports do that)
