@@ -220,7 +220,9 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
   // Open the stream BEFORE asking: a same-thread router can answer inline.
   auto responses = co_await router_.open<LookupResponse>(
       [wid](const LookupResponse& r) { return r.id == wid; });
-  trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree), router_);
+  // A retry asks fresh: the router's learned view may be what failed.
+  trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree, op.attempt > 0),
+          router_);
   for (;;) {
     auto got = co_await protocol::when_any(responses.next(), deadline.wait());
     if (got.index() == 1) co_return false;  // attempt deadline

@@ -29,9 +29,9 @@
 //
 // Replicas are otherwise passive: they answer reads with their stored
 // (tag, value) and apply writes only when the incoming tag is newer.
-// Operations time out and retry with a fresh group lookup (bounded), then
-// fail — CATS targets "partially synchronous, lossy, partitionable and
-// dynamic networks" (§4).
+// Operations time out and retry with a fresh group lookup (bounded; it
+// bypasses the router's learned-view cache), then fail — CATS targets
+// "partially synchronous, lossy, partitionable and dynamic networks" (§4).
 
 #include <functional>
 #include <map>

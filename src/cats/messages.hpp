@@ -284,21 +284,23 @@ class RouteLookupMsg : public Message {
   std::uint32_t ttl;
 };
 
+/// The responsible node's answer to a RouteLookupMsg: the installed view
+/// covering the key — range (lo, hi], members and version — so the origin
+/// can reuse it for other keys of the range. A version-0 view carries the
+/// ring-successor group of the responsibility interval (no installed view).
 class LookupResultMsg : public Message {
   KOMPICS_EVENT(LookupResultMsg, Message);
 
  public:
-  LookupResultMsg(Address s, Address d, OpId op, RingKey key, std::vector<NodeRef> group,
-                  std::uint64_t view_version = 0)
-      : Message(s, d), op(op), key(key), group(std::move(group)), view_version(view_version) {}
+  LookupResultMsg(Address s, Address d, OpId op, RingKey key, GroupView view)
+      : Message(s, d), op(op), key(key), view(std::move(view)) {}
   static constexpr auto wire_fields() {
     return wire::fields(&LookupResultMsg::op, wire::fixed(&LookupResultMsg::key),
-                        &LookupResultMsg::group, &LookupResultMsg::view_version);
+                        &LookupResultMsg::view);
   }
   OpId op;
   RingKey key;
-  std::vector<NodeRef> group;
-  std::uint64_t view_version;
+  GroupView view;
 };
 
 // ---- consistent-quorum view reconfiguration ---------------------------------

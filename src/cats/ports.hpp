@@ -168,11 +168,15 @@ class LookupRequest : public Event {
   KOMPICS_EVENT(LookupRequest, Event);
 
  public:
-  LookupRequest(OpId id, RingKey key, std::size_t group_size)
-      : id(id), key(key), group_size(group_size) {}
+  LookupRequest(OpId id, RingKey key, std::size_t group_size, bool fresh = false)
+      : id(id), key(key), group_size(group_size), fresh(fresh) {}
   OpId id;
   RingKey key;
   std::size_t group_size;
+  /// Bypass (and evict) the router's learned view for the key's range and
+  /// route to the responsible node. Retries set it: the cached view may be
+  /// what made the previous attempt fail.
+  bool fresh;
 };
 
 class LookupResponse : public Event {

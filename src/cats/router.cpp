@@ -27,18 +27,9 @@ OneHopRouter::OneHopRouter() {
     for (const auto& s : view.successors) learn(s);
   });
 
-  // Mirror the local ABD's installed quorum views: a newly installed view
-  // supersedes any older cached view it covers (same range after a member
-  // change, or the parent of a split).
+  // Mirror the local ABD's installed quorum views.
   subscribe<ViewUpdate>(quorum_views_, [this](const ViewUpdate& vu) {
-    for (auto it = views_.begin(); it != views_.end();) {
-      const bool superseded =
-          it->second.version < vu.view.version && it->second.covers(vu.view.hi);
-      it = superseded ? views_.erase(it) : std::next(it);
-    }
-    auto have = views_.find(vu.view.hi);
-    if (have == views_.end() || have->second.version < vu.view.version) {
-      views_[vu.view.hi] = vu.view;
+    if (supersede(views_, vu.view, now())) {
       for (const auto& m : vu.view.members) learn(m);
     }
   });
@@ -46,14 +37,23 @@ OneHopRouter::OneHopRouter() {
   subscribe<LookupRequest>(router_, [this](const LookupRequest& req) {
     evict_stale();
     if (responsible_for(req.key)) {
-      ++lookups_served_;
-      const GroupView* v = covering_view(req.key);
-      if (v != nullptr) {
-        trigger(make_event<LookupResponse>(req.id, req.key, v->members, v->version), router_);
-      } else {
-        trigger(make_event<LookupResponse>(req.id, req.key, build_group(req.key, req.group_size)),
-                router_);
-      }
+      handle_lookup_at_responsible(self_, req.id, req.key, req.group_size);
+      return;
+    }
+    auto hit = covering(learned_, req.key);
+    if (hit != learned_.end() && req.fresh) {
+      ++counters_.fresh_evictions;
+      learned_.erase(hit);  // re-route; the answer refills the entry
+    } else if (hit != learned_.end()) {
+      // Safe however stale the entry is: an answer routed fresh is already
+      // stale by the time the phase messages land, and the replica gate
+      // (abd.cpp: version equal, unfenced, member) is what keeps quorums
+      // consistent. A stale entry is nacked or times out, and the retry asks
+      // fresh; the cache only lengthens a staleness the asynchronous model
+      // already allows.
+      ++counters_.lookups_cached;
+      const GroupView& v = hit->second.view;
+      trigger(make_event<LookupResponse>(req.id, req.key, v.members, v.version), router_);
       return;
     }
     protocol::spawn(relay_lookup(req.id, req.key, req.group_size));
@@ -74,9 +74,12 @@ OneHopRouter::OneHopRouter() {
   subscribe<StatusRequest>(status_, [this](const StatusRequest& req) {
     std::map<std::string, std::string> fields;
     fields["table_size"] = std::to_string(table_.size());
-    fields["lookups_served"] = std::to_string(lookups_served_);
-    fields["lookups_forwarded"] = std::to_string(lookups_forwarded_);
+    fields["lookups_served"] = std::to_string(counters_.lookups_served);
+    fields["lookups_forwarded"] = std::to_string(counters_.lookups_forwarded);
+    fields["lookups_cached"] = std::to_string(counters_.lookups_cached);
     fields["views_cached"] = std::to_string(views_.size());
+    fields["views_learned"] = std::to_string(counters_.views_learned);
+    fields["fresh_evictions"] = std::to_string(counters_.fresh_evictions);
     trigger(make_event<StatusResponse>(req.id, "OneHopRouter", std::move(fields)), status_);
   });
 }
@@ -95,8 +98,17 @@ protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, std::size
                                          protocol::sleep(timer_, params_.op_timeout_ms));
   if (got.index() == 1) co_return;  // no answer: the origin's deadline retries
   const LookupResultMsg& msg = *std::get<0>(got);
-  for (const auto& n : msg.group) learn(n);
-  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.group, msg.view_version), router_);
+  for (const auto& n : msg.view.members) learn(n);
+  // Unversioned (ring-successor) answers are never cached: no replica acks
+  // phases under them, so they must be re-asked until a view is installed.
+  // Bug emulation (params.hpp): the stale-view router had no cache, so
+  // learned_ stays empty.
+  if (msg.view.version != 0 && !params_.inject_stale_view_bug &&
+      supersede(learned_, msg.view, now())) {
+    ++counters_.views_learned;
+  }
+  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.view.members, msg.view.version),
+          router_);
 }
 
 void OneHopRouter::learn(const NodeRef& n) {
@@ -111,6 +123,41 @@ void OneHopRouter::evict_stale() {
   for (auto it = table_.begin(); it != table_.end();) {
     it = it->second.last_heard < cutoff ? table_.erase(it) : std::next(it);
   }
+  for (auto it = learned_.begin(); it != learned_.end();) {
+    it = it->second.since < cutoff ? learned_.erase(it) : std::next(it);
+  }
+}
+
+namespace {
+bool overlap(const GroupView& a, const GroupView& b) {
+  // Two ring arcs intersect exactly when one contains the other's end.
+  return a.covers(b.hi) || b.covers(a.hi);
+}
+}  // namespace
+
+bool OneHopRouter::supersede(ViewMap& views, const GroupView& view, TimeMs at) {
+  for (const auto& [hi, known] : views) {
+    const GroupView& have = known.view;
+    if (!overlap(have, view)) continue;
+    const bool same_range = have.lo == view.lo && have.hi == view.hi;
+    if (have.version > view.version || (have.version == view.version && !same_range)) {
+      return false;
+    }
+  }
+  for (auto it = views.begin(); it != views.end();) {
+    it = overlap(it->second.view, view) ? views.erase(it) : std::next(it);
+  }
+  views.emplace(view.hi, KnownView{view, at});
+  return true;
+}
+
+OneHopRouter::ViewMap::iterator OneHopRouter::covering(ViewMap& views, RingKey key) {
+  // Entries are disjoint, so the only candidate is the first one ending at
+  // or after the key, or else the first one overall (a range that wraps
+  // past zero, or the full ring).
+  auto it = views.lower_bound(key);
+  if (it == views.end()) it = views.begin();
+  return it != views.end() && it->second.view.covers(key) ? it : views.end();
 }
 
 bool OneHopRouter::responsible_for(RingKey key) const {
@@ -123,16 +170,14 @@ bool OneHopRouter::responsible_for(RingKey key) const {
   return sole_member_;
 }
 
-const GroupView* OneHopRouter::covering_view(RingKey key) const {
+GroupView OneHopRouter::authoritative_view(RingKey key, std::size_t group_size) {
   // Bug emulation (params.hpp): the pre-consistent-quorums router answered
   // lookups from the raw ring neighborhood, never from installed views.
-  if (params_.inject_stale_view_bug) return nullptr;
-  const GroupView* best = nullptr;
-  for (const auto& [hi, v] : views_) {
-    if (!v.covers(key)) continue;
-    if (best == nullptr || best->version < v.version) best = &v;
+  if (!params_.inject_stale_view_bug) {
+    auto it = covering(views_, key);
+    if (it != views_.end()) return it->second.view;
   }
-  return best;
+  return GroupView{has_pred_ ? pred_.key : self_.key, self_.key, 0, build_group(group_size)};
 }
 
 std::vector<std::string> OneHopRouter::invariant_violations() const {
@@ -153,23 +198,29 @@ std::vector<std::string> OneHopRouter::invariant_violations() const {
       out.push_back("router: table contains this node itself (key " + std::to_string(k) + ")");
     }
   }
-  // Cached installed views must be mutually disjoint: overlapping cached
-  // views would let two lookups for the same key resolve to different
-  // replica groups (split-brain at the routing layer).
-  for (const auto& [hi, v] : views_) {
-    for (const auto& [other_hi, other] : views_) {
-      if (other_hi != hi && other.covers(hi) && v.covers(other_hi)) {
-        out.push_back("router: cached views overlap: (" + std::to_string(v.lo) + ", " +
-                      std::to_string(hi) + "]@v" + std::to_string(v.version) + " and (" +
-                      std::to_string(other.lo) + ", " + std::to_string(other_hi) + "]@v" +
-                      std::to_string(other.version));
+  // Installed and learned views must each be pairwise disjoint: overlapping
+  // entries would let two lookups for the same key resolve to different
+  // replica groups (split-brain at the routing layer), and covering() relies
+  // on it.
+  auto check_disjoint = [&out](const ViewMap& views, const char* what) {
+    for (auto a = views.begin(); a != views.end(); ++a) {
+      for (auto b = std::next(a); b != views.end(); ++b) {
+        const GroupView& x = a->second.view;
+        const GroupView& y = b->second.view;
+        if (!overlap(x, y)) continue;
+        out.push_back(std::string("router: ") + what + " views overlap: (" +
+                      std::to_string(x.lo) + ", " + std::to_string(x.hi) + "]@v" +
+                      std::to_string(x.version) + " and (" + std::to_string(y.lo) + ", " +
+                      std::to_string(y.hi) + "]@v" + std::to_string(y.version));
       }
     }
-  }
+  };
+  check_disjoint(views_, "installed");
+  check_disjoint(learned_, "learned");
   return out;
 }
 
-std::vector<NodeRef> OneHopRouter::build_group(RingKey, std::size_t group_size) const {
+std::vector<NodeRef> OneHopRouter::build_group(std::size_t group_size) const {
   // The responsible node heads the group; its ring successors replicate.
   std::vector<NodeRef> group{self_};
   for (const auto& s : succs_) {
@@ -219,7 +270,7 @@ bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key,
     }
   }
   if (!found) return false;
-  ++lookups_forwarded_;
+  ++counters_.lookups_forwarded;
   trigger(make_event<RouteLookupMsg>(self_.addr, best.addr, origin, op, key, group_size, ttl),
           network_);
   return true;
@@ -227,15 +278,12 @@ bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key,
 
 void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
                                                 std::size_t group_size) {
-  ++lookups_served_;
-  const GroupView* v = covering_view(key);
-  auto group = v != nullptr ? v->members : build_group(key, group_size);
-  const std::uint64_t version = v != nullptr ? v->version : 0;
+  ++counters_.lookups_served;
+  GroupView view = authoritative_view(key, group_size);
   if (origin.addr == self_.addr) {
-    trigger(make_event<LookupResponse>(op, key, std::move(group), version), router_);
+    trigger(make_event<LookupResponse>(op, key, std::move(view.members), view.version), router_);
   } else {
-    trigger(make_event<LookupResultMsg>(self_.addr, origin.addr, op, key, std::move(group),
-                                        version),
+    trigger(make_event<LookupResultMsg>(self_.addr, origin.addr, op, key, std::move(view)),
             network_);
   }
 }

@@ -12,6 +12,12 @@
 // routing degenerates to correct O(n) ring traversal when tables are cold.
 // Entries carry a last-heard timestamp and expire, which evicts dead nodes
 // under churn (samples keep refreshing live ones).
+//
+// Learned views: the origin of a relayed lookup keeps the versioned view the
+// responsible node answered with, one entry per range, and answers later
+// lookups for any key of that range locally for kEntryTtlMs. Replicas ack
+// only their exact installed, unfenced view version, so a stale entry costs
+// the operation one failed attempt; the retry asks `fresh` and re-routes.
 
 #include <map>
 #include <unordered_map>
@@ -46,13 +52,37 @@ class OneHopRouter : public ComponentDefinition {
 
   OneHopRouter();
 
+  struct Counters {
+    std::uint64_t lookups_served = 0;     ///< answered as the responsible node
+    std::uint64_t lookups_forwarded = 0;  ///< RouteLookupMsg hops sent
+    std::uint64_t lookups_cached = 0;     ///< answered from a learned view
+    std::uint64_t views_learned = 0;      ///< relayed answers stored as learned views
+    std::uint64_t fresh_evictions = 0;    ///< learned views evicted by a fresh lookup
+  };
+  const Counters& counters() const { return counters_; }
   std::size_t table_size() const { return table_.size(); }
+  std::size_t learned_size() const { return learned_.size(); }
 
-  /// Campaign-harness invariants (ISSUE 7): cached installed views must be
-  /// mutually disjoint. Empty on healthy runs.
+  /// Campaign-harness invariants: the routing table is well formed, and the
+  /// installed and the learned views are each pairwise disjoint. Empty on
+  /// healthy runs.
   std::vector<std::string> invariant_violations() const;
 
  private:
+  struct KnownView {
+    GroupView view;
+    TimeMs since = 0;  // when it was installed or learned
+  };
+  /// Views keyed by `hi`, pairwise disjoint.
+  using ViewMap = std::map<RingKey, KnownView>;
+  /// The supersede rule both view maps follow: `view` replaces every
+  /// overlapping entry of a lower version (same range after a member change,
+  /// or the parent of a split), and is refused when an overlapping entry is
+  /// newer (or a different range at the same version). Returns whether the
+  /// view was stored.
+  static bool supersede(ViewMap& views, const GroupView& view, TimeMs at);
+  static ViewMap::iterator covering(ViewMap& views, RingKey key);
+
   /// Forwards a lookup we are not responsible for, awaits the remote answer
   /// (correlated by op id), learns the group and relays it to the local
   /// client port. The frame garbage-collects itself after one op-timeout
@@ -62,8 +92,10 @@ class OneHopRouter : public ComponentDefinition {
   void handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
                                     std::size_t group_size);
   bool responsible_for(RingKey key) const;
-  const GroupView* covering_view(RingKey key) const;
-  std::vector<NodeRef> build_group(RingKey key, std::size_t group_size) const;
+  /// The responsible node's answer: the installed view covering `key`, or
+  /// the ring-successor group of its interval at version 0.
+  GroupView authoritative_view(RingKey key, std::size_t group_size);
+  std::vector<NodeRef> build_group(std::size_t group_size) const;
   bool forward(const NodeRef& origin, OpId op, RingKey key, std::uint32_t group_size,
                std::uint32_t ttl);
   void evict_stale();
@@ -98,9 +130,11 @@ class OneHopRouter : public ComponentDefinition {
   // will acknowledge phases for. Without one, the ring-successor group is
   // answered with view_version 0 — usable for ring joins, but coordinators
   // must not run quorum phases under it.
-  std::map<RingKey, GroupView> views_;
-  std::uint64_t lookups_served_ = 0;
-  std::uint64_t lookups_forwarded_ = 0;
+  ViewMap views_;
+  // Versioned views learned from relayed lookup answers; expire after
+  // kEntryTtlMs. Bypassed under the inject_stale_view_bug emulation.
+  ViewMap learned_;
+  Counters counters_;
 };
 
 }  // namespace kompics::cats

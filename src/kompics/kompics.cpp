@@ -71,15 +71,13 @@ bool Runtime::await_quiescence_for(DurationMs timeout) {
   // waiter — which also keeps pending_sub() off its notify slow path. The
   // yields hand the CPU to the workers doing the draining.
   for (int i = 0; i < 256; ++i) {
-    if (pending_.load(std::memory_order_acquire) == 0) return true;
+    if (quiescent_or_halted()) return true;
     std::this_thread::yield();
   }
   const auto deadline = steady_clock::now() + milliseconds(timeout);
   waiters_.fetch_add(1, std::memory_order_acq_rel);
   std::unique_lock<std::mutex> lock(quiesce_mu_);
-  const bool ok = quiesce_cv_.wait_until(lock, deadline, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
+  const bool ok = quiesce_cv_.wait_until(lock, deadline, [this] { return quiescent_or_halted(); });
   waiters_.fetch_sub(1, std::memory_order_acq_rel);
   return ok;
 }
@@ -120,6 +118,11 @@ void Runtime::on_unhandled_fault(const Fault& fault) {
   const std::string dump = telemetry_.last_crash_dump();
   if (!dump.empty()) std::fprintf(stderr, "%s", dump.c_str());
   scheduler_->shutdown();
+  // The abandoned work never drains pending_, so release the quiescence
+  // waiters explicitly: they return and can observe faulted().
+  std::lock_guard<std::mutex> g(quiesce_mu_);
+  halted_.store(true, std::memory_order_release);
+  quiesce_cv_.notify_all();
 }
 
 // The quiescence wait above observes pending_ without the producer holding

@@ -83,8 +83,10 @@ class Runtime {
   /// Stops the scheduler and the reactor; pending work is abandoned.
   void shutdown();
 
-  /// Blocks until no schedulable work remains anywhere in the runtime.
-  /// (Reactor deliveries can of course inject new work afterwards.)
+  /// Blocks until no schedulable work remains anywhere in the runtime, or
+  /// until an unhandled fault halted the scheduler under the default fault
+  /// policy (check faulted()). Reactor deliveries can of course inject new
+  /// work afterwards.
   void await_quiescence();
   /// Bounded variant; returns false on timeout.
   bool await_quiescence_for(DurationMs timeout);
@@ -116,6 +118,11 @@ class Runtime {
   void pending_sub(std::int64_t k);
 
  private:
+  bool quiescent_or_halted() const {
+    return pending_.load(std::memory_order_acquire) == 0 ||
+           halted_.load(std::memory_order_acquire);
+  }
+
   Config config_;
   std::unique_ptr<Scheduler> scheduler_;
   telemetry::Telemetry telemetry_;
@@ -129,6 +136,7 @@ class Runtime {
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
   std::atomic<int> waiters_{0};
+  std::atomic<bool> halted_{false};  // scheduler stopped by the default fault policy
 
   std::mutex fault_mu_;
   FaultPolicy fault_policy_;

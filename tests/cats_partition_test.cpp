@@ -8,6 +8,7 @@
 #include "cats/abd.hpp"
 #include "cats/cats_simulator.hpp"
 #include "cats/linearizability.hpp"
+#include "cats/router.hpp"
 #include "sim/simulation.hpp"
 
 namespace kompics::cats::test {
@@ -168,6 +169,92 @@ TEST(CatsPartition, PartialPartitionCannotCommitOnBothSides) {
   }
   EXPECT_EQ(puts_ok, hist_puts_ok);
   EXPECT_EQ(gets_ok, hist_gets_ok);
+  const auto lin = check_history(h);
+  EXPECT_TRUE(lin.linearizable) << lin.explanation;
+}
+
+TEST(CatsPartition, WarmViewCachesRetryFreshAcrossAMemberReplacement) {
+  // Coordinators outside the key's replica group answer its lookups from
+  // their learned-view caches. One member of the group is killed and then
+  // replaced (a view change) while they keep issuing puts and gets. Cached
+  // views go stale; replicas nack them, and the retry re-routes fresh.
+  PartitionWorld w;
+  const RingKey k = hash_to_ring("cached");
+  const std::vector<std::uint64_t> ids{10, 20, 30, 40, 50};
+  GroupView before;
+  for (std::uint64_t id : ids) {
+    const auto v = w.cats->node(id).abd.definition_as<ConsistentABD>().view_covering(k);
+    if (v && v->version > before.version) before = *v;
+  }
+  ASSERT_EQ(before.members.size(), 3u);
+  auto id_of = [](const NodeRef& n) { return n.key >> 48; };  // node_ring_key inverse
+  std::vector<std::uint64_t> coordinators;
+  for (std::uint64_t id : ids) {
+    if (!before.has_member(w.cats->node(id).self().addr)) coordinators.push_back(id);
+  }
+  ASSERT_EQ(coordinators.size(), 2u);
+  const std::uint64_t victim = id_of(before.members.back());
+
+  std::uint16_t vc = 0;
+  auto issue = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (std::uint64_t c : coordinators) {
+        if (r % 4 == 0) {
+          ++vc;
+          w.cats->put(c, k,
+                      Value{static_cast<std::uint8_t>(vc), static_cast<std::uint8_t>(vc >> 8)});
+        } else {
+          w.cats->get(c, k);
+        }
+      }
+      w.settle(150);
+    }
+  };
+  issue(16);  // warm the caches
+  std::uint64_t cached_before = 0;
+  for (std::uint64_t c : coordinators) {
+    const auto& rc = w.cats->node(c).router.definition_as<OneHopRouter>().counters();
+    cached_before += rc.lookups_cached;
+  }
+  EXPECT_GT(cached_before, 0u) << "warm coordinators answer lookups from their caches";
+
+  w.cats->fail(victim);
+  issue(100);  // ~15 s: failure detection, view change, stale cached views
+  w.settle(3000);
+  const std::size_t settled = w.cats->history().size();
+  issue(4);
+  w.settle(3000);
+
+  GroupView after;
+  for (std::uint64_t id : ids) {
+    if (!w.cats->is_alive(id)) continue;
+    const auto v = w.cats->node(id).abd.definition_as<ConsistentABD>().view_covering(k);
+    if (v && v->version > after.version) after = *v;
+  }
+  EXPECT_GT(after.version, before.version) << "the view changed";
+  for (const auto& m : after.members) EXPECT_NE(id_of(m), victim) << "the victim was replaced";
+
+  std::uint64_t cached = 0, evicted = 0, stale_acks = 0;
+  for (std::uint64_t id : ids) {
+    if (!w.cats->is_alive(id)) continue;
+    const auto& rc = w.cats->node(id).router.definition_as<OneHopRouter>().counters();
+    const auto& ac = w.cats->node(id).abd.definition_as<ConsistentABD>().counters();
+    cached += rc.lookups_cached;
+    evicted += rc.fresh_evictions;
+    stale_acks += ac.stale_view_acks_dropped;
+  }
+  EXPECT_GT(cached, cached_before) << "the caches keep answering after the change";
+  EXPECT_GT(evicted, 0u) << "a retry bypassed a stale cached view";
+  EXPECT_EQ(stale_acks, 0u);
+  EXPECT_TRUE(w.cats->invariant_violations().empty());
+
+  const auto& h = w.cats->history();
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    EXPECT_GE(h[i].responded, 0) << "operations must terminate";
+    if (i >= settled) {
+      EXPECT_TRUE(h[i].ok) << "ops after the view change succeed";
+    }
+  }
   const auto lin = check_history(h);
   EXPECT_TRUE(lin.linearizable) << lin.explanation;
 }

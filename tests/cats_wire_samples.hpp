@@ -189,8 +189,7 @@ inline void expect_same(const RouteLookupMsg& a, const RouteLookupMsg& b) {
 inline void expect_same(const LookupResultMsg& a, const LookupResultMsg& b) {
   EXPECT_EQ(a.op, b.op);
   EXPECT_EQ(a.key, b.key);
-  expect_eq(a.group, b.group);
-  EXPECT_EQ(a.view_version, b.view_version);
+  expect_eq(a.view, b.view);
 }
 inline void expect_same(const BootstrapRequestMsg& a, const BootstrapRequestMsg& b) {
   expect_eq(a.self, b.self);
@@ -332,10 +331,12 @@ inline std::vector<Sample> all_samples() {
                      "000000000050058201"));
   s.push_back(sample("LookupResultMsg", 141,
                      LookupResultMsg(kSrc, kDst, 1007, 0x5000000000000007ull,
-                                     {node(0x2a, 0x05060711u, 30), node(0x2b, 0x05060712u, 31)},
-                                     58),
-                     "8d010100000a591b0200000a5a1bef070700000000000050022a000000000000"
-                     "00110706051e002b00000000000000120706051f003a"));
+                                     GroupView{0x5000000000000003ull, 0x5000000000000009ull, 58,
+                                               {node(0x2a, 0x05060711u, 30),
+                                                node(0x2b, 0x05060712u, 31)}}),
+                     "8d010100000a591b0200000a5a1bef0707000000000000500300000000000050"
+                     "09000000000000503a022a00000000000000110706051e002b00000000000000"
+                     "120706051f00"));
   s.push_back(sample("BootstrapRequestMsg", 120,
                      BootstrapRequestMsg(kSrc, kDst, node(0x2c, 0x05060713u, 32)),
                      "780100000a591b0200000a5a1b2c00000000000000130706052000"));

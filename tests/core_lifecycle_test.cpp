@@ -258,6 +258,26 @@ TEST(Faults, UnhandledFaultEscalatesToRuntimePolicy) {
   EXPECT_TRUE(rt->faulted());
 }
 
+TEST(Faults, QuiescenceWaitReturnsAfterDefaultPolicyHaltsTheScheduler) {
+  // Default policy: report, mark the runtime faulted and stop scheduling.
+  // The pokes queued behind the fatal one are abandoned, so pending work
+  // never drains; the quiescence wait must still return.
+  auto rt = make_runtime();
+  auto main = rt->bootstrap<Uncaring>();
+  rt->await_quiescence();
+
+  auto& pokes = main.definition_as<Uncaring>()
+                    .child.core()
+                    ->find_port(std::type_index(typeid(PokePort)), true)
+                    ->outside;
+  pokes->trigger(make_event<Poke>(13));
+  for (int i = 0; i < 1000; ++i) pokes->trigger(make_event<Poke>(1));
+  const bool returned = rt->await_quiescence_for(10'000);
+  ASSERT_TRUE(returned) << "quiescence wait hung after an unhandled fault";
+  rt->await_quiescence();  // the unbounded wait returns too
+  EXPECT_TRUE(rt->faulted());
+}
+
 class GrandSupervisor : public ComponentDefinition {
  public:
   GrandSupervisor() {

@@ -1,7 +1,8 @@
 // White-box tests of the OneHopRouter: responsibility gating on ring views,
 // group construction from successor lists, table learning from samples,
 // TTL-based eviction of stale entries, greedy forwarding, ring fallback,
-// and TTL-hop exhaustion. A harness plays ring + sampling + network.
+// TTL-hop exhaustion, and the learned-view cache. A harness plays ring +
+// sampling + network.
 
 #include <gtest/gtest.h>
 
@@ -35,17 +36,15 @@ class Harness : public ComponentDefinition {
   void sample(std::vector<NodeRef> nodes) {
     trigger(make_event<NodeSample>(std::move(nodes)), sampling_);
   }
-  void lookup(OpId id, RingKey key, std::size_t group) {
-    trigger(make_event<LookupRequest>(id, key, group), router_);
+  void lookup(OpId id, RingKey key, std::size_t group, bool fresh = false) {
+    trigger(make_event<LookupRequest>(id, key, group, fresh), router_);
   }
   void remote_lookup(Address from, Address to, NodeRef origin, OpId op, RingKey key,
                      std::uint32_t ttl) {
     trigger(make_event<RouteLookupMsg>(from, to, origin, op, key, 3, ttl), network_);
   }
-  void inject_result(Address from, Address to, OpId op, RingKey key,
-                     std::vector<NodeRef> group, std::uint64_t view_version = 0) {
-    trigger(make_event<LookupResultMsg>(from, to, op, key, std::move(group), view_version),
-            network_);
+  void inject_result(Address from, Address to, OpId op, RingKey key, GroupView view) {
+    trigger(make_event<LookupResultMsg>(from, to, op, key, std::move(view)), network_);
   }
   /// Publish an installed quorum view, as the local ABD's view manager does.
   void publish_view(GroupView view) {
@@ -67,10 +66,10 @@ NodeRef node(std::uint64_t id) { return NodeRef{id << 48, Address::node(static_c
 
 class World : public ComponentDefinition {
  public:
-  explicit World(sim::SimulatorCore* core) {
+  World(sim::SimulatorCore* core, CatsParams params) {
     self = node(50);
     router = create<OneHopRouter>();
-    router.control()->trigger(make_event<OneHopRouter::Init>(self, CatsParams{}));
+    router.control()->trigger(make_event<OneHopRouter::Init>(self, params));
     harness = create<Harness>();
     timer = create<sim::SimTimer>();
     timer.control()->trigger(make_event<sim::SimTimer::Init>(core));
@@ -88,8 +87,8 @@ class World : public ComponentDefinition {
 };
 
 struct RouterFixture : ::testing::Test {
-  RouterFixture() : sim(Config{}, 3) {
-    main = sim.bootstrap<World>(&sim.core());
+  explicit RouterFixture(CatsParams params = CatsParams{}) : sim(Config{}, 3) {
+    main = sim.bootstrap<World>(&sim.core(), params);
     sim.run_until(1);
     world = &main.definition_as<World>();
   }
@@ -215,8 +214,12 @@ TEST_F(RouterFixture, RemoteLookupAnsweredDirectlyToOrigin) {
   ASSERT_EQ(world->h().results.size(), 1u);
   EXPECT_EQ(world->h().results[0].destination(), origin.addr);
   EXPECT_EQ(world->h().results[0].op, 77u);
-  ASSERT_FALSE(world->h().results[0].group.empty());
-  EXPECT_EQ(world->h().results[0].group[0].key, world->self.key);
+  const GroupView& answered = world->h().results[0].view;
+  ASSERT_FALSE(answered.members.empty());
+  EXPECT_EQ(answered.members[0].key, world->self.key);
+  EXPECT_EQ(answered.version, 0u) << "no installed view: ring-successor group";
+  EXPECT_EQ(answered.lo, node(40).key) << "the answer spans the responsibility interval";
+  EXPECT_EQ(answered.hi, world->self.key);
 }
 
 TEST_F(RouterFixture, OrphanedNodeRefusesWholeRingAuthority) {
@@ -255,7 +258,7 @@ TEST_F(RouterFixture, LookupResultFeedsTableAndAnswersPort) {
   ASSERT_EQ(world->h().forwarded.size(), 1u);
   const std::size_t before = world->r().table_size();
   world->h().inject_result(node(30).addr, world->self.addr, 99, (25ull << 48),
-                           {node(30), node(35)});
+                           GroupView{node(20).key, node(30).key, 0, {node(30), node(35)}});
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   EXPECT_EQ(world->h().responses[0].id, 99u);
@@ -270,10 +273,166 @@ TEST_F(RouterFixture, UnsolicitedLookupResultIsIgnored) {
   step();
   const std::size_t before = world->r().table_size();
   world->h().inject_result(node(30).addr, world->self.addr, 123, (25ull << 48),
-                           {node(30), node(35)});
+                           GroupView{node(20).key, node(30).key, 4, {node(30), node(35)}});
   step();
   EXPECT_TRUE(world->h().responses.empty());
   EXPECT_EQ(world->r().table_size(), before);
+  EXPECT_EQ(world->r().learned_size(), 0u) << "nor fill the view cache";
+}
+
+// ---- learned-view cache ----------------------------------------------------
+
+// Keys (in units of 1<<48): this node is 50 and owns (40, 50]. The remote
+// range used below is (20, 30], headed by node 30.
+constexpr RingKey kInRange = 25ull << 48;
+constexpr RingKey kAlsoInRange = 22ull << 48;
+constexpr RingKey kOutOfRange = 35ull << 48;
+
+GroupView remote_view(std::uint64_t version) {
+  return GroupView{node(20).key, node(30).key, version, {node(30), node(35), node(38)}};
+}
+
+/// Resolves `key` through one relayed lookup, answered with `view`.
+void relay_one(RouterFixture& f, OpId op, RingKey key, GroupView view) {
+  auto& h = f.world->h();
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(op, key, 3);
+  f.step();
+  ASSERT_EQ(h.forwarded.size(), forwarded + 1) << "a cache miss is routed";
+  const Address head = view.members.front().addr;
+  h.inject_result(head, f.world->self.addr, op, key, std::move(view));
+  f.step();
+}
+
+struct ViewCacheFixture : RouterFixture {
+  ViewCacheFixture() {
+    world->h().view(world->self, true, node(40), {node(60), node(70)});
+    step();
+  }
+};
+
+TEST_F(ViewCacheFixture, RelayedVersionedAnswerFillsTheCache) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  auto& h = world->h();
+  ASSERT_EQ(h.responses.size(), 1u);
+  EXPECT_EQ(h.responses[0].view_version, 5u);
+  ASSERT_EQ(h.responses[0].group.size(), 3u);
+  EXPECT_EQ(h.responses[0].group[0].key, node(30).key);
+  EXPECT_EQ(world->r().learned_size(), 1u);
+  EXPECT_TRUE(world->r().invariant_violations().empty());
+}
+
+TEST_F(ViewCacheFixture, SameRangeIsAnsweredLocallyOtherRangesAreRouted) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  auto& h = world->h();
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(2, kAlsoInRange, 3);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded) << "a cached range needs no RouteLookupMsg";
+  ASSERT_EQ(h.responses.size(), 2u);
+  EXPECT_EQ(h.responses[1].id, 2u);
+  EXPECT_EQ(h.responses[1].key, kAlsoInRange);
+  EXPECT_EQ(h.responses[1].view_version, 5u);
+  EXPECT_EQ(h.responses[1].group[0].key, node(30).key);
+
+  h.lookup(3, kOutOfRange, 3);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "a key outside the range is still routed";
+  EXPECT_EQ(h.responses.size(), 2u);
+}
+
+TEST_F(ViewCacheFixture, FreshLookupEvictsTheEntryAndRoutes) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  auto& h = world->h();
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(2, kAlsoInRange, 3, /*fresh=*/true);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "fresh bypasses the cache";
+  EXPECT_EQ(h.responses.size(), 1u) << "not answered from the cache";
+  EXPECT_EQ(world->r().learned_size(), 0u) << "fresh evicts the covering entry";
+  // The fresh answer refills the entry with the newer view.
+  h.inject_result(node(30).addr, world->self.addr, 2, kAlsoInRange, remote_view(6));
+  step();
+  ASSERT_EQ(h.responses.size(), 2u);
+  EXPECT_EQ(h.responses[1].view_version, 6u);
+  h.lookup(3, kInRange, 3);
+  step();
+  ASSERT_EQ(h.responses.size(), 3u);
+  EXPECT_EQ(h.responses[2].view_version, 6u);
+}
+
+TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  // A delayed answer for a key outside the cached range carries an older
+  // parent view that overlaps it: relayed to its op, but not cached.
+  const GroupView parent{node(10).key, node(35).key, 3, {node(35), node(38), node(40)}};
+  relay_one(*this, 2, kOutOfRange, parent);
+  auto& h = world->h();
+  ASSERT_EQ(h.responses.size(), 2u);
+  EXPECT_EQ(h.responses[1].view_version, 3u);
+  EXPECT_EQ(world->r().learned_size(), 1u);
+  h.lookup(3, kAlsoInRange, 3);
+  step();
+  ASSERT_EQ(h.responses.size(), 3u);
+  EXPECT_EQ(h.responses[2].view_version, 5u) << "the higher version still answers";
+  EXPECT_TRUE(world->r().invariant_violations().empty());
+
+  // The other way round, a newer overlapping view replaces the entry.
+  const GroupView merged{node(10).key, node(35).key, 9, {node(35), node(38), node(40)}};
+  relay_one(*this, 4, kOutOfRange, merged);
+  EXPECT_EQ(world->r().learned_size(), 1u);
+  h.lookup(5, kAlsoInRange, 3);
+  step();
+  ASSERT_EQ(h.responses.size(), 5u);
+  EXPECT_EQ(h.responses[4].view_version, 9u);
+  EXPECT_TRUE(world->r().invariant_violations().empty());
+}
+
+TEST_F(ViewCacheFixture, EntriesExpireAfterTheTtl) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  sim.run_until(sim.now() + OneHopRouter::kEntryTtlMs + 1000);
+  auto& h = world->h();
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(2, kAlsoInRange, 3);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "an expired entry is not used";
+  EXPECT_EQ(h.responses.size(), 1u);
+  EXPECT_EQ(world->r().learned_size(), 0u);
+}
+
+TEST_F(ViewCacheFixture, UnversionedAnswersAreNotCached) {
+  relay_one(*this, 1, kInRange, remote_view(0));
+  auto& h = world->h();
+  ASSERT_EQ(h.responses.size(), 1u) << "still relayed to the asking op";
+  EXPECT_EQ(h.responses[0].view_version, 0u);
+  EXPECT_EQ(world->r().learned_size(), 0u);
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(2, kAlsoInRange, 3);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded + 1);
+}
+
+struct StaleViewBugFixture : RouterFixture {
+  static CatsParams buggy() {
+    CatsParams p;
+    p.inject_stale_view_bug = true;
+    return p;
+  }
+  StaleViewBugFixture() : RouterFixture(buggy()) {
+    world->h().view(world->self, true, node(40), {node(60), node(70)});
+    step();
+  }
+};
+
+TEST_F(StaleViewBugFixture, BugEmulationBypassesTheCache) {
+  relay_one(*this, 1, kInRange, remote_view(5));
+  auto& h = world->h();
+  ASSERT_EQ(h.responses.size(), 1u);
+  EXPECT_EQ(world->r().learned_size(), 0u);
+  const std::size_t forwarded = h.forwarded.size();
+  h.lookup(2, kAlsoInRange, 3);
+  step();
+  EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "every lookup is routed";
 }
 
 }  // namespace

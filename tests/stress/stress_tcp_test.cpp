@@ -73,9 +73,13 @@ class TwoNodeMain : public ComponentDefinition {
 std::uint16_t pick_port() {
   // Pid-spread base (see tcp_network_test.cpp): concurrent ctest processes
   // must not hand out overlapping ports, or "refused connection" targets in
-  // one test turn out to be live listeners of another.
+  // one test turn out to be live listeners of another. The range stays below
+  // Linux's ephemeral ports (32768-60999), where another test's outbound
+  // connection could already hold the port, and clear of the other test
+  // binaries' ranges (stress_reactor 12000-20000, tcp_network 24000-28000,
+  // reactor 28500-31000).
   static std::atomic<std::uint16_t> next{
-      static_cast<std::uint16_t>(33000 + (static_cast<unsigned>(::getpid()) * 131u) % 4000u)};
+      static_cast<std::uint16_t>(20000 + (static_cast<unsigned>(::getpid()) * 131u) % 3800u)};
   return next.fetch_add(1);
 }
 
