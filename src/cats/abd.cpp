@@ -126,6 +126,7 @@ ConsistentABD::ConsistentABD() {
     fields["reconfigs_decided"] = std::to_string(counters_.reconfigs_decided);
     fields["stale_view_nacks"] = std::to_string(counters_.stale_view_nacks);
     fields["fast_retries"] = std::to_string(counters_.fast_retries);
+    fields["lookup_reasks"] = std::to_string(counters_.lookup_reasks);
     fields["stale_view_acks_dropped"] = std::to_string(counters_.stale_view_acks_dropped);
     trigger(make_event<StatusResponse>(req.id, "ConsistentABD", std::move(fields)), status_);
   });
@@ -221,20 +222,37 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
   auto responses = co_await router_.open<LookupResponse>(
       [wid](const LookupResponse& r) { return r.id == wid; });
   // A retry asks fresh: the router's learned view may be what failed.
-  trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree, op.attempt > 0),
-          router_);
+  auto ask = [&] {
+    trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree, op.attempt > 0),
+            router_);
+  };
+  ask();
+  protocol::ArmedTimer reask;  // armed while an unusable answer backs off
   for (;;) {
-    auto got = co_await protocol::when_any(responses.next(), deadline.wait());
+    auto got = co_await protocol::when_any(responses.next(), deadline.wait(), reask.wait());
     if (got.index() == 1) co_return false;  // attempt deadline
+    if (got.index() == 2) {
+      // Same request, same wire id: a re-ask spends no retry and keeps the
+      // attempt's deadline.
+      reask = protocol::ArmedTimer{};
+      ++counters_.lookup_reasks;
+      ask();
+      continue;
+    }
     const LookupResponse& resp = *std::get<0>(got);
     if (resp.group.empty() ||
         (resp.view_version == 0 && !params_.inject_stale_view_bug)) {
       // Ring not converged around the key, or the responsible node has no
-      // installed view yet; keep waiting — the deadline retries with a fresh
-      // lookup. An unversioned group must never run quorum phases: that is
-      // exactly the window where two sides of a partition could each
-      // assemble an (inconsistent) quorum. (The inject_stale_view_bug
-      // emulation deliberately re-opens that window, params.hpp.)
+      // installed view yet. Ask again after a short backoff rather than
+      // sitting out the attempt deadline: both usually clear within one
+      // stabilization or view-change round. An unversioned group must never
+      // run quorum phases: that is exactly the window where two sides of a
+      // partition could each assemble an (inconsistent) quorum. (The
+      // inject_stale_view_bug emulation deliberately re-opens that window,
+      // params.hpp.)
+      if (!reask.armed()) {
+        reask = co_await protocol::arm_timer(timer_, params_.fast_retry_backoff_ms);
+      }
       continue;
     }
     op.group = resp.group;
@@ -274,9 +292,15 @@ protocol::Proto<bool> ConsistentABD::quorum_round(OpId internal,
       // view is being reconfigured under us. Shortcut the attempt deadline
       // to a short backoff — long enough for the in-flight view change to
       // install, unlike an instant retry, which would burn every attempt
-      // inside one fence window.
+      // inside one fence window. The backoff doubles with each of the op's
+      // fast retries (capped at the attempt deadline): a responsible node
+      // that keeps answering with a superseded view until its own catch-up
+      // lands would otherwise exhaust every retry within a second.
       ++counters_.fast_retries;
-      fast = co_await protocol::arm_timer(timer_, params_.fast_retry_backoff_ms);
+      const DurationMs backoff = std::min<DurationMs>(
+          params_.op_timeout_ms, params_.fast_retry_backoff_ms << std::min(op.fast_retries, 6));
+      ++op.fast_retries;
+      fast = co_await protocol::arm_timer(timer_, backoff);
     }
   }
 }

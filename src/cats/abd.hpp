@@ -79,6 +79,8 @@ class ConsistentABD : public ComponentDefinition {
     std::uint64_t reconfigs_decided = 0;     ///< proposals that reached accept quorum
     std::uint64_t stale_view_nacks = 0;      ///< replica: phase msgs rejected
     std::uint64_t fast_retries = 0;          ///< coordinator: nack-driven retries
+    std::uint64_t lookup_reasks = 0;         ///< coordinator: lookups re-sent after an
+                                             ///< unversioned or empty answer
     // Coordinator-side divergence guard: acks whose view version did not
     // match the operation's view. Replicas echo the phase version, so this
     // MUST stay 0 — the partition tests assert it (no op may count an ack,
@@ -129,6 +131,7 @@ class ConsistentABD : public ComponentDefinition {
     /// (tag, exists): a get then answers without the write-back.
     bool read_agreed = true;
     int retries_left = 0;
+    int fast_retries = 0;  ///< nack-driven retries so far; each doubles the next backoff
     std::uint8_t attempt = 0;  ///< retry epoch, embedded in wire op ids
     // A put chooses its version tag exactly once. Retries retransmit the
     // SAME (tag, value): re-choosing a fresh (higher) tag would let one put

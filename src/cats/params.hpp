@@ -39,6 +39,8 @@ struct CatsParams {
   // view is being reconfigured), the coordinator retries after this short
   // backoff instead of the full op timeout. Instant retry would burn every
   // attempt inside the fence window of a single in-flight view change.
+  // A lookup answered without an installed view (or with no group) is
+  // re-asked after the same backoff, within the same attempt.
   DurationMs fast_retry_backoff_ms = 50;
 
   // Consistent-quorum view reconfiguration: how often a node re-evaluates

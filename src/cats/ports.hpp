@@ -174,8 +174,9 @@ class LookupRequest : public Event {
   RingKey key;
   std::size_t group_size;
   /// Bypass (and evict) the router's learned view for the key's range and
-  /// route to the responsible node. Retries set it: the cached view may be
-  /// what made the previous attempt fail.
+  /// route to the responsible node, leaving through a random entry that
+  /// precedes the key. Retries set it: the cached view, or a dead successor
+  /// entry, may be what made the previous attempt fail.
   bool fresh;
 };
 

@@ -1,6 +1,7 @@
 #include "cats/router.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace kompics::cats {
 
@@ -56,7 +57,7 @@ OneHopRouter::OneHopRouter() {
       trigger(make_event<LookupResponse>(req.id, req.key, v.members, v.version), router_);
       return;
     }
-    protocol::spawn(relay_lookup(req.id, req.key, req.group_size));
+    protocol::spawn(relay_lookup(req.id, req.key, req.group_size, req.fresh));
   });
 
   subscribe<RouteLookupMsg>(network_, [this](const RouteLookupMsg& msg) {
@@ -67,8 +68,14 @@ OneHopRouter::OneHopRouter() {
       handle_lookup_at_responsible(msg.origin, msg.op, msg.key, msg.group_size);
       return;
     }
-    if (msg.ttl > 0) forward(msg.origin, msg.op, msg.key, msg.group_size, msg.ttl - 1);
-    // TTL exhausted: drop; the origin's operation timeout handles it.
+    // Intermediate hops always take the successor-side rule. With no closer
+    // node to send it to, or its hop budget spent, the lookup is answered
+    // empty at once: the origin re-asks instead of waiting out a timeout.
+    if (msg.ttl == 0 ||
+        !forward(msg.origin, msg.op, msg.key, msg.group_size, msg.ttl - 1, /*fresh=*/false)) {
+      ++counters_.lookups_unroutable;
+      answer(msg.origin, msg.op, msg.key, GroupView{});
+    }
   });
 
   subscribe<StatusRequest>(status_, [this](const StatusRequest& req) {
@@ -76,6 +83,8 @@ OneHopRouter::OneHopRouter() {
     fields["table_size"] = std::to_string(table_.size());
     fields["lookups_served"] = std::to_string(counters_.lookups_served);
     fields["lookups_forwarded"] = std::to_string(counters_.lookups_forwarded);
+    fields["lookups_relayed"] = std::to_string(counters_.lookups_relayed);
+    fields["lookups_unroutable"] = std::to_string(counters_.lookups_unroutable);
     fields["lookups_cached"] = std::to_string(counters_.lookups_cached);
     fields["views_cached"] = std::to_string(views_.size());
     fields["views_learned"] = std::to_string(counters_.views_learned);
@@ -84,14 +93,17 @@ OneHopRouter::OneHopRouter() {
   });
 }
 
-protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, std::size_t group_size) {
+protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, std::size_t group_size,
+                                                  bool fresh) {
+  ++counters_.lookups_relayed;
   // Open the result stream BEFORE forwarding: a same-process responsible
   // node can answer inline.
   auto results = co_await network_.open<LookupResultMsg>(
       [op](const LookupResultMsg& m) { return m.op == op; });
-  if (!forward(self_, op, key, static_cast<std::uint32_t>(group_size), kMaxHops)) {
-    // Nowhere to route: answer with an empty group; the caller retries.
-    trigger(make_event<LookupResponse>(op, key, std::vector<NodeRef>{}), router_);
+  if (!forward(self_, op, key, static_cast<std::uint32_t>(group_size), kMaxHops, fresh)) {
+    // Nowhere to route: answer with an empty group; the caller re-asks.
+    ++counters_.lookups_unroutable;
+    answer(self_, op, key, GroupView{});
     co_return;
   }
   auto got = co_await protocol::when_any(results.next(),
@@ -232,60 +244,82 @@ std::vector<NodeRef> OneHopRouter::build_group(std::size_t group_size) const {
   return group;
 }
 
-bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key,
-                           std::uint32_t group_size, std::uint32_t ttl) {
-  // Candidates: nodes in (self, key] — at or preceding the target (Chord
-  // rule: progress toward the key is guaranteed). Among the closest three
-  // we pick randomly: a retried lookup then explores a different path, so a
-  // stale table entry pointing at a dead node cannot black-hole the same
-  // operation forever.
+std::optional<NodeRef> OneHopRouter::next_hop(RingKey key, bool fresh) {
+  // Our ring view decides the arc its successor list covers: a key up to
+  // our last successor goes to the first successor at or after it. The
+  // failure detector drops a dead successor from that list within seconds,
+  // while its table entries live on until Cyclon and the TTL forget it.
+  for (const auto& s : succs_) {
+    if (s.addr != self_.addr && in_interval_oc(self_.key, s.key, key)) return s;
+  }
   const TimeMs cutoff = now() - kEntryTtlMs;
-  struct Cand {
-    std::uint64_t dist;
-    NodeRef node;
-  };
-  std::vector<Cand> candidates;
-  for (const auto& [k, e] : table_) {
-    if (e.last_heard < cutoff) continue;
-    if (!in_interval_oc(self_.key, key, k)) continue;
-    candidates.push_back(Cand{ring_distance(k, key), e.node});
-  }
-  NodeRef best{};
-  bool found = false;
-  if (!candidates.empty()) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Cand& a, const Cand& b) { return a.dist < b.dist; });
-    const std::size_t pool = std::min<std::size_t>(candidates.size(), 3);
-    best = candidates[rng().next_below(pool)].node;
-    found = true;
-  }
-  if (!found) {
-    // Fallback: route along the ring through our successor.
+  if (fresh) {
+    // A retry picks randomly among the three closest live entries preceding
+    // the key, in (self, key]: each attempt can leave through a different
+    // node, so a stale entry for a dead successor cannot black-hole them all.
+    std::array<NodeRef, 3> pool;
+    std::size_t n = 0;
+    auto it = table_.upper_bound(key);
+    for (std::size_t seen = 0; seen < table_.size() && n < pool.size(); ++seen) {
+      if (it == table_.begin()) it = table_.end();
+      --it;
+      if (!in_interval_oc(self_.key, key, it->first)) break;
+      if (it->second.last_heard >= cutoff) pool[n++] = it->second.node;
+    }
+    if (n > 0) return pool[rng().next_below(n)];
+    // Nothing live precedes the key: leave through the ring successor.
     for (const auto& s : succs_) {
-      if (s.addr != self_.addr) {
-        best = s;
-        found = true;
-        break;
-      }
+      if (s.addr != self_.addr) return s;
+    }
+    return std::nullopt;
+  }
+  // Elsewhere, the candidate nearest the key going clockwise from it, and
+  // only one strictly nearer than this node (that is what bounds the walk):
+  // the first live table entry at or after the key, or our predecessor.
+  std::optional<NodeRef> best;
+  std::uint64_t best_dist = ring_distance(key, self_.key);
+  auto consider = [&](const NodeRef& node) {
+    const std::uint64_t dist = ring_distance(key, node.key);
+    if (dist < best_dist && node.addr != self_.addr && node.addr.valid()) {
+      best_dist = dist;
+      best = node;
+    }
+  };
+  auto it = table_.lower_bound(key);
+  for (std::size_t seen = 0; seen < table_.size(); ++seen, ++it) {
+    if (it == table_.end()) it = table_.begin();
+    if (it->second.last_heard >= cutoff) {
+      consider(it->second.node);
+      break;
     }
   }
-  if (!found) return false;
+  if (has_pred_) consider(pred_);
+  return best;
+}
+
+bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key,
+                           std::uint32_t group_size, std::uint32_t ttl, bool fresh) {
+  const std::optional<NodeRef> hop = next_hop(key, fresh);
+  if (!hop) return false;
   ++counters_.lookups_forwarded;
-  trigger(make_event<RouteLookupMsg>(self_.addr, best.addr, origin, op, key, group_size, ttl),
+  trigger(make_event<RouteLookupMsg>(self_.addr, hop->addr, origin, op, key, group_size, ttl),
           network_);
   return true;
 }
 
-void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
-                                                std::size_t group_size) {
-  ++counters_.lookups_served;
-  GroupView view = authoritative_view(key, group_size);
+void OneHopRouter::answer(const NodeRef& origin, OpId op, RingKey key, GroupView view) {
   if (origin.addr == self_.addr) {
     trigger(make_event<LookupResponse>(op, key, std::move(view.members), view.version), router_);
   } else {
     trigger(make_event<LookupResultMsg>(self_.addr, origin.addr, op, key, std::move(view)),
             network_);
   }
+}
+
+void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
+                                                std::size_t group_size) {
+  ++counters_.lookups_served;
+  answer(origin, op, key, authoritative_view(key, group_size));
 }
 
 }  // namespace kompics::cats

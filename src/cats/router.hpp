@@ -7,11 +7,22 @@
 // its predecessor, hence its exact responsibility interval), so group
 // answers track ring agreement rather than possibly-stale tables.
 //
-// Forwarding rule (Chord's closest-preceding-node over the full table):
-// guarantees progress; the ring successor is the fallback next hop, so
-// routing degenerates to correct O(n) ring traversal when tables are cold.
-// Entries carry a last-heard timestamp and expire, which evicts dead nodes
-// under churn (samples keep refreshing live ones).
+// Forwarding rule (successor side): a node that is not responsible sends
+// the lookup to the live node closest to the key from the successor side:
+// the first table entry at or after the key, or its ring predecessor. With
+// a complete table that node is the responsible one, so a lookup takes one
+// hop. A hop is only taken to a node strictly closer to the key than this
+// one, so distance shrinks on every hop and a lookup cannot loop; a hop
+// that lands past the key moves back toward it (the predecessor always
+// qualifies). Within the arc its successor list covers, a node routes by
+// its ring view instead, which the failure detector keeps free of dead
+// nodes. A node that knows no closer node, or receives a lookup whose hop
+// budget is spent, answers the origin with an empty group instead of
+// bouncing it. A `fresh` lookup (an operation's retry) leaves its origin
+// through a random pick among the three closest live entries preceding the
+// key, so a dead successor entry cannot black-hole every attempt. Entries
+// carry a last-heard timestamp and expire, which evicts dead nodes under
+// churn (samples keep refreshing live ones).
 //
 // Learned views: the origin of a relayed lookup keeps the versioned view the
 // responsible node answered with, one entry per range, and answers later
@@ -20,6 +31,7 @@
 // the operation one failed attempt; the retry asks `fresh` and re-routes.
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "cats/messages.hpp"
@@ -55,6 +67,8 @@ class OneHopRouter : public ComponentDefinition {
   struct Counters {
     std::uint64_t lookups_served = 0;     ///< answered as the responsible node
     std::uint64_t lookups_forwarded = 0;  ///< RouteLookupMsg hops sent
+    std::uint64_t lookups_relayed = 0;    ///< lookups this node originated and routed
+    std::uint64_t lookups_unroutable = 0; ///< answered empty: no closer node, or hops spent
     std::uint64_t lookups_cached = 0;     ///< answered from a learned view
     std::uint64_t views_learned = 0;      ///< relayed answers stored as learned views
     std::uint64_t fresh_evictions = 0;    ///< learned views evicted by a fresh lookup
@@ -87,7 +101,7 @@ class OneHopRouter : public ComponentDefinition {
   /// (correlated by op id), learns the group and relays it to the local
   /// client port. The frame garbage-collects itself after one op-timeout
   /// period: the origin's operation deadline owns the retry policy.
-  protocol::Proto<void> relay_lookup(OpId op, RingKey key, std::size_t group_size);
+  protocol::Proto<void> relay_lookup(OpId op, RingKey key, std::size_t group_size, bool fresh);
   void learn(const NodeRef& n);
   void handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
                                     std::size_t group_size);
@@ -96,8 +110,13 @@ class OneHopRouter : public ComponentDefinition {
   /// the ring-successor group of its interval at version 0.
   GroupView authoritative_view(RingKey key, std::size_t group_size);
   std::vector<NodeRef> build_group(std::size_t group_size) const;
+  /// Sends a lookup result to its origin: over the network, or straight to
+  /// the local client port when the origin is this node.
+  void answer(const NodeRef& origin, OpId op, RingKey key, GroupView view);
+  /// The next hop for `key` (see the forwarding rule above), if any.
+  std::optional<NodeRef> next_hop(RingKey key, bool fresh);
   bool forward(const NodeRef& origin, OpId op, RingKey key, std::uint32_t group_size,
-               std::uint32_t ttl);
+               std::uint32_t ttl, bool fresh);
   void evict_stale();
 
   Negative<Router> router_ = provide<Router>();
@@ -115,7 +134,8 @@ class OneHopRouter : public ComponentDefinition {
     TimeMs last_heard = 0;
   };
   std::map<RingKey, Entry> table_;  // ordered by ring key for successor scans
-  // Latest ring view (authoritative responsibility + fallback next hop).
+  // Latest ring view (authoritative responsibility; its neighbours are
+  // next hops even after their table entries expire).
   // Until the first view arrives the node has not joined the ring and must
   // never claim responsibility (a pre-join node would otherwise answer
   // lookups as a lone ring).

@@ -259,5 +259,110 @@ TEST(CatsPartition, WarmViewCachesRetryFreshAcrossAMemberReplacement) {
   EXPECT_TRUE(lin.linearizable) << lin.explanation;
 }
 
+TEST(CatsPartition, ColdCoordinatorsReachTheGroupInOneHopAndRetryFreshPastAFailure) {
+  // A converged 32-node ring: every router's table is (nearly) complete, so
+  // a coordinator with a cold view cache sends its lookup straight to the
+  // key's successor. Then a member fails; lookups that still route to it
+  // are lost, and the operations' fresh retries carry them past it.
+  Simulation simulation(Config{}, 7);
+  auto hub = std::make_shared<SimNetworkHub>(&simulation.core(), 5, LinkModel{1, 5, 0.0, false});
+  CatsParams params;
+  // 13 attempts of 3 s outlast failure detection and the view change.
+  params.op_max_retries = 12;
+  Component main = simulation.bootstrap<SimMain>(&simulation.core(), hub, params);
+  simulation.run_until(1);
+  auto* cats = &main.definition_as<SimMain>().simulator.definition_as<CatsSimulator>();
+  auto settle = [&](DurationMs t) { simulation.run_until(simulation.now() + t); };
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 1; i <= 32; ++i) ids.push_back(i * 1000);
+  for (std::uint64_t id : ids) {
+    cats->join(id);
+    settle(200);
+  }
+  settle(20000);
+  ASSERT_EQ(cats->ready_count(), ids.size());
+
+  struct Totals {
+    std::uint64_t forwarded = 0, relayed = 0, cached = 0, retries = 0;
+  };
+  auto totals = [&] {
+    Totals t;
+    for (std::uint64_t id : ids) {
+      if (!cats->is_alive(id)) continue;
+      const auto& rc = cats->node(id).router.definition_as<OneHopRouter>().counters();
+      t.forwarded += rc.lookups_forwarded;
+      t.relayed += rc.lookups_relayed;
+      t.cached += rc.lookups_cached;
+      t.retries += cats->node(id).abd.definition_as<ConsistentABD>().counters().retries;
+    }
+    return t;
+  };
+
+  // Cold caches: no coordinator has issued an operation yet. Each of 64 keys
+  // spread over the ring is written by one coordinator and read by another.
+  const Totals cold0 = totals();
+  EXPECT_EQ(cold0.relayed, 0u);
+  std::vector<RingKey> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back(hash_to_ring("cold" + std::to_string(i)));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cats->put(ids[i % ids.size()], keys[i], Value{static_cast<std::uint8_t>(i)});
+    settle(20);
+  }
+  settle(2000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cats->get(ids[(i + 7) % ids.size()], keys[i]);
+    settle(20);
+  }
+  settle(2000);
+  const Totals cold1 = totals();
+  const std::uint64_t relayed = cold1.relayed - cold0.relayed;
+  const std::uint64_t forwarded = cold1.forwarded - cold0.forwarded;
+  ASSERT_GT(relayed, 64u) << "most operations of a cold coordinator are routed";
+  EXPECT_LE(static_cast<double>(forwarded), 1.2 * static_cast<double>(relayed))
+      << forwarded << " forwards for " << relayed << " relayed lookups";
+  const std::size_t cold_ops = cats->history().size();
+  for (const auto& rec : cats->history()) EXPECT_TRUE(rec.ok) << "a healthy ring serves every op";
+
+  // Fail the node responsible for (15000, 16000] and keep operating on keys
+  // it held, from every other node, warm caches and cold ones alike.
+  const std::uint64_t victim = 16000;
+  cats->fail(victim);
+  std::vector<std::uint64_t> coordinators;
+  for (std::uint64_t id : ids) {
+    if (id != victim) coordinators.push_back(id);
+  }
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const std::uint64_t c = coordinators[(round * 4 + j) % coordinators.size()];
+      const RingKey k = CatsSimulator::node_ring_key(15000 + 200 * (j + 1));
+      if (round % 3 == 0) {
+        cats->put(c, k, Value{static_cast<std::uint8_t>(round), static_cast<std::uint8_t>(j)});
+      } else {
+        cats->get(c, k);
+      }
+    }
+    settle(500);
+  }
+  settle(45000);  // > 13 attempts of 3 s
+  const Totals after = totals();
+  EXPECT_GT(after.retries, cold1.retries) << "lookups to the failed node had to retry";
+
+  const auto& h = cats->history();
+  ASSERT_EQ(h.size(), cold_ops + 80);
+  for (std::size_t i = cold_ops; i < h.size(); ++i) {
+    EXPECT_TRUE(h[i].ok) << "op " << i << " on node " << h[i].node_id
+                         << " failed after the member failure";
+  }
+  std::uint64_t stale_acks = 0;
+  for (std::uint64_t id : coordinators) {
+    stale_acks +=
+        cats->node(id).abd.definition_as<ConsistentABD>().counters().stale_view_acks_dropped;
+  }
+  EXPECT_EQ(stale_acks, 0u);
+  EXPECT_TRUE(cats->invariant_violations().empty());
+  const auto lin = check_history(h);
+  EXPECT_TRUE(lin.linearizable) << lin.explanation;
+}
+
 }  // namespace
 }  // namespace kompics::cats::test

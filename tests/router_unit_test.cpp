@@ -1,10 +1,14 @@
 // White-box tests of the OneHopRouter: responsibility gating on ring views,
 // group construction from successor lists, table learning from samples,
-// TTL-based eviction of stale entries, greedy forwarding, ring fallback,
-// TTL-hop exhaustion, and the learned-view cache. A harness plays ring +
+// TTL-based eviction of stale entries, successor-side forwarding (one hop
+// with a full table, back toward the key from past it, empty answers when
+// no node is closer or the hop budget is spent), the random first hop of
+// fresh lookups, and the learned-view cache. A harness plays ring +
 // sampling + network.
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "cats/router.hpp"
 #include "sim/sim_timer.hpp"
@@ -163,46 +167,70 @@ TEST_F(RouterFixture, LoneRingIsResponsibleForEverything) {
   EXPECT_EQ(world->h().responses[0].group[0].key, world->self.key);
 }
 
-TEST_F(RouterFixture, ForwardsToClosestPrecedingTableEntry) {
+TEST_F(RouterFixture, FullTableSendsTheLookupStraightToTheKeysSuccessor) {
   world->h().view(world->self, true, node(40), {node(60)});
   world->h().sample({node(10), node(20), node(30), node(60), node(70)});
   step();
-  // Key 25<<48: not ours. Closest preceding candidates are 10 and 20 (and
-  // 25 itself is absent); the pick is randomized among the top 3 preceding
-  // — all of which precede the key and exclude later nodes.
+  // Key 25<<48 is not ours. Its successor, node 30, is responsible for it
+  // whenever the table is complete: one hop, not a walk through 10 and 20.
   world->h().lookup(4, (25ull << 48), 3);
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
-  const auto dest = world->h().forwarded[0].destination();
-  EXPECT_TRUE(dest == node(10).addr || dest == node(20).addr)
-      << "next hop must precede the key";
+  EXPECT_EQ(world->h().forwarded[0].destination(), node(30).addr);
   EXPECT_EQ(world->h().forwarded[0].op, 4u);
   EXPECT_EQ(world->h().forwarded[0].origin.addr, world->self.addr);
+  EXPECT_EQ(world->h().forwarded[0].ttl, OneHopRouter::kMaxHops);
+  EXPECT_EQ(world->r().counters().lookups_relayed, 1u);
+  EXPECT_EQ(world->r().counters().lookups_forwarded, 1u);
+
+  // A key that is exactly a table entry's goes to that entry.
+  world->h().lookup(5, node(20).key, 3);
+  step();
+  ASSERT_EQ(world->h().forwarded.size(), 2u);
+  EXPECT_EQ(world->h().forwarded[1].destination(), node(20).addr);
 }
 
-TEST_F(RouterFixture, FallsBackToRingSuccessorWithEmptyTable) {
+TEST_F(RouterFixture, RingNeighboursStayHopsAfterTheirEntriesExpire) {
   world->h().view(world->self, true, node(40), {node(60), node(70)});
   step();
-  // Key 65<<48 is past us; table empty -> next hop is succ[0].
+  // Key 65<<48 is past us; its successor in our ring view is node 70.
   world->h().lookup(5, (65ull << 48), 3);
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
-  EXPECT_EQ(world->h().forwarded[0].destination(), node(60).addr);
+  EXPECT_EQ(world->h().forwarded[0].destination(), node(70).addr);
+  // Once the table entries the view filled have expired (and been evicted),
+  // the view's successors are still candidates.
+  sim.run_until(sim.now() + OneHopRouter::kEntryTtlMs + 1000);
+  world->h().lookup(6, (65ull << 48), 3);
+  step();
+  EXPECT_EQ(world->r().table_size(), 0u);
+  ASSERT_EQ(world->h().forwarded.size(), 2u);
+  EXPECT_EQ(world->h().forwarded[1].destination(), node(70).addr);
 }
 
-TEST_F(RouterFixture, StaleTableEntriesExpire) {
+TEST_F(RouterFixture, ExpiredEntriesAreNeverHops) {
   world->h().view(world->self, true, node(40), {node(60)});
   world->h().sample({node(20)});
   step();
   EXPECT_GE(world->r().table_size(), 1u);
-  // Let the entry pass its TTL in virtual time; a lookup then falls back to
-  // the ring successor instead of the stale node 20.
+  // Let every entry pass its TTL in virtual time, then hear from node 10.
   sim.run_until(sim.now() + OneHopRouter::kEntryTtlMs + 1000);
-  world->h().lookup(6, (25ull << 48), 3);
+  world->h().sample({node(10)});
+  step();
+  // An intermediate hop (no eviction pass runs on this path) skips the
+  // expired node 20, the key's successor, and takes the next live
+  // candidate closer than itself: its ring predecessor, node 40.
+  world->h().remote_lookup(node(30).addr, world->self.addr, node(5), 7, (15ull << 48), 8);
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
-  EXPECT_EQ(world->h().forwarded[0].destination(), node(60).addr)
+  EXPECT_EQ(world->h().forwarded[0].destination(), node(40).addr)
       << "expired entries must not be used as hops";
+  // A fresh origin lookup's random pick ignores them too: of the entries
+  // preceding key 25, only node 10 is live.
+  world->h().lookup(8, (25ull << 48), 3, /*fresh=*/true);
+  step();
+  ASSERT_EQ(world->h().forwarded.size(), 2u);
+  EXPECT_EQ(world->h().forwarded[1].destination(), node(10).addr);
 }
 
 TEST_F(RouterFixture, RemoteLookupAnsweredDirectlyToOrigin) {
@@ -239,13 +267,84 @@ TEST_F(RouterFixture, OrphanedNodeRefusesWholeRingAuthority) {
   }
 }
 
-TEST_F(RouterFixture, TtlExhaustionDropsTheLookup) {
+TEST_F(RouterFixture, SpentTtlAnswersTheOriginEmpty) {
   world->h().view(world->self, true, node(40), {node(60)});
   step();
   world->h().remote_lookup(node(20).addr, world->self.addr, node(5), 88, (65ull << 48), 0);
   step();
   EXPECT_TRUE(world->h().forwarded.empty()) << "ttl=0 must not be forwarded";
+  ASSERT_EQ(world->h().results.size(), 1u) << "the origin is told at once";
+  EXPECT_EQ(world->h().results[0].destination(), node(5).addr);
+  EXPECT_EQ(world->h().results[0].op, 88u);
+  EXPECT_TRUE(world->h().results[0].view.members.empty());
+  EXPECT_EQ(world->h().results[0].view.version, 0u);
+  EXPECT_EQ(world->r().counters().lookups_unroutable, 1u);
+}
+
+TEST_F(RouterFixture, ANodePastTheKeyForwardsBackTowardIt) {
+  // We own (40, 50]. Keys 35 and 15 lie behind our predecessor: the next
+  // hop must be strictly closer to the key than we are, going clockwise from
+  // it, so it moves back toward the key and never on to 60 or 70.
+  world->h().view(world->self, true, node(40), {node(60), node(70)});
+  world->h().sample({node(10), node(20), node(60), node(70)});
+  step();
+  world->h().remote_lookup(node(5).addr, world->self.addr, node(5), 1, (35ull << 48), 8);
+  world->h().remote_lookup(node(5).addr, world->self.addr, node(5), 2, (15ull << 48), 8);
+  step();
+  ASSERT_EQ(world->h().forwarded.size(), 2u);
+  EXPECT_EQ(world->h().forwarded[0].destination(), node(40).addr);
+  EXPECT_EQ(world->h().forwarded[0].ttl, 7u);
+  EXPECT_EQ(world->h().forwarded[1].destination(), node(20).addr);
+  for (const auto& m : world->h().forwarded) {
+    const NodeRef hop = m.destination() == node(40).addr ? node(40) : node(20);
+    EXPECT_LT(ring_distance(m.key, hop.key), ring_distance(m.key, world->self.key));
+  }
   EXPECT_TRUE(world->h().results.empty());
+}
+
+TEST_F(RouterFixture, NoPredecessorAndNothingCloserAnswersTheOriginEmpty) {
+  // The last joiner: it has successors but has not yet been told its
+  // predecessor, so it is responsible for nothing. Key 45 is closer to it
+  // than to any node it knows, so it answers instead of bouncing the lookup
+  // between itself and its successors until the TTL runs out.
+  world->h().view(world->self, false, NodeRef{}, {node(60), node(70)});
+  step();
+  world->h().remote_lookup(node(30).addr, world->self.addr, node(5), 9, (45ull << 48), 8);
+  step();
+  EXPECT_TRUE(world->h().forwarded.empty());
+  ASSERT_EQ(world->h().results.size(), 1u);
+  EXPECT_EQ(world->h().results[0].destination(), node(5).addr);
+  EXPECT_TRUE(world->h().results[0].view.members.empty());
+  // As the origin, it answers its own client port empty.
+  world->h().lookup(10, (45ull << 48), 3);
+  step();
+  EXPECT_TRUE(world->h().forwarded.empty());
+  ASSERT_EQ(world->h().responses.size(), 1u);
+  EXPECT_TRUE(world->h().responses[0].group.empty());
+  EXPECT_EQ(world->r().counters().lookups_unroutable, 2u);
+}
+
+TEST_F(RouterFixture, FreshOriginLookupPicksAmongTheThreeClosestPrecedingEntries) {
+  world->h().view(world->self, true, node(40), {node(60)});
+  world->h().sample({node(10), node(15), node(20), node(30), node(35)});
+  step();
+  // Key 25: the successor-side hop is node 30; a fresh (retry) lookup
+  // instead leaves through one of 20, 15 and 10 at random.
+  world->h().lookup(1, (25ull << 48), 3);
+  step();
+  ASSERT_EQ(world->h().forwarded.size(), 1u);
+  EXPECT_EQ(world->h().forwarded[0].destination(), node(30).addr);
+  std::set<std::uint32_t> picked;
+  for (OpId op = 2; op < 62; ++op) {
+    world->h().lookup(op, (25ull << 48), 3, /*fresh=*/true);
+    step();
+    ASSERT_EQ(world->h().forwarded.size(), static_cast<std::size_t>(op));
+    const Address dest = world->h().forwarded.back().destination();
+    ASSERT_TRUE(dest == node(20).addr || dest == node(15).addr || dest == node(10).addr)
+        << "a fresh hop is one of the three closest entries preceding the key";
+    picked.insert(dest.host);
+  }
+  EXPECT_EQ(picked.size(), 3u) << "60 fresh lookups spread over all three";
 }
 
 TEST_F(RouterFixture, LookupResultFeedsTableAndAnswersPort) {

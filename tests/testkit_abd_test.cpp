@@ -257,6 +257,52 @@ TEST_F(AbdDslTest, ReadAgreementIsDecidedPerAttempt) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
+TEST_F(AbdDslTest, UnversionedLookupAnswerIsReaskedWithinTheAttempt) {
+  // A range with no installed view yet answers at version 0. The coordinator
+  // re-sends the same request after the fast-retry backoff instead of
+  // sitting out the attempt deadline (op_timeout_ms = 1000), and spends no
+  // retry doing so.
+  LookupRequest first{0, 0, 0};
+  LookupRequest again{0, 0, 0};
+  std::vector<AbdReadMsg> reads;
+  TimeMs start = 0;
+  TimeMs reasked = 0;
+  TimeMs answered = 0;
+
+  ctx->exec([&] { start = ctx->now(); })
+      .trigger(putget, make_event<GetRequest>(8, 7))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { first = r; })
+      .trigger(router, [&] { return lookup_answer(first, 0); })
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) {
+        again = r;
+        reasked = ctx->now();
+      })
+      .exec([&] {
+        EXPECT_EQ(again.id, first.id) << "a re-ask keeps the attempt's wire id";
+        EXPECT_FALSE(again.fresh) << "attempt 0 never asks fresh";
+      })
+      .trigger(router, [&] { return lookup_answer(again, 1); })
+      .repeat(3)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
+      .end_repeat()
+      .exec([&] { EXPECT_EQ(reads[0].view, 1u) << "phases run under the versioned answer"; })
+      .trigger(net, [&] { return read_ack(reads[0], VersionTag{}, false, {}, Address::node(10)); })
+      .trigger(net, [&] { return read_ack(reads[1], VersionTag{}, false, {}, Address::node(20)); })
+      .expect<GetResponse>(putget, [&](const GetResponse& r) {
+        answered = ctx->now();
+        return r.ok && !r.found && r.id == 8;
+      })
+      .exec([&] {
+        EXPECT_GE(reasked - start, 50) << "the re-ask waits out fast_retry_backoff_ms";
+        EXPECT_LT(answered - start, 250) << "finished well before the 1000 ms attempt deadline";
+        EXPECT_EQ(abd().counters().retries, 0u);
+        EXPECT_EQ(abd().counters().lookup_reasks, 1u);
+      });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
 TEST_F(AbdDslTest, DuplicatedAcksFromOneReplicaDoNotCompleteQuorum) {
   // Pre-fix, quorum progress was a raw counter (++acks): duplicated
   // deliveries of one replica's ack (retransmitting transports do that)

@@ -3,9 +3,10 @@
 // abd_protocol_test.cpp). Replica side: the view gate must nack unversioned
 // phases, wrong view versions, and fenced ranges — in exactly that order on
 // the wire. Coordinator side: a nack majority must trigger the fast retry
-// only after the backoff. The DSL versions pin the full message order and
-// measure the backoff in virtual time, which the hand-rolled originals
-// could only approximate with coarse run_until windows.
+// only after the backoff, which doubles with each further fast retry. The
+// DSL versions pin the full message order and measure the backoff in
+// virtual time, which the hand-rolled originals could only approximate
+// with coarse run_until windows.
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,54 @@ TEST_F(ReconfigDslTest, NackMajorityTriggersFastRetryAfterBackoff) {
       .repeat(3)
       .expect<AbdReadMsg>(net, [](const AbdReadMsg& m) { return m.view == 9; })
       .end_repeat();
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST_F(ReconfigDslTest, RepeatedNackMajoritiesDoubleTheBackoff) {
+  // A responsible node can keep answering with a superseded view until its
+  // own catch-up lands. Each further fast retry of the op waits twice as
+  // long, so the op's retries outlast that window instead of burning out in
+  // a few fixed 50 ms steps.
+  LookupRequest lookup{0, 0, 0};
+  std::vector<AbdReadMsg> reads;
+  std::vector<TimeMs> nacked_at, asked_at;
+  auto nack_majority = [&](testkit::TestContext& c) -> testkit::TestContext& {
+    return c
+        .trigger(router,
+                 [&] { return make_event<LookupResponse>(lookup.id, lookup.key, group, 1); })
+        .repeat(3)
+        .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
+        .end_repeat()
+        .trigger(net, [&] {
+          const AbdReadMsg& r = reads[reads.size() - 3];
+          return make_event<AbdNackMsg>(Address::node(10), r.source(), r.op, r.key, 9);
+        })
+        .trigger(net, [&] {
+          const AbdReadMsg& r = reads[reads.size() - 2];
+          return make_event<AbdNackMsg>(Address::node(20), r.source(), r.op, r.key, 9);
+        })
+        .settle(0)
+        .exec([&] { nacked_at.push_back(ctx->now()); })
+        .expect<LookupRequest>(router, [&](const LookupRequest& r) {
+          lookup = r;
+          asked_at.push_back(ctx->now());
+        });
+  };
+
+  ctx->trigger(putget, make_event<PutRequest>(12, 23, Value{7}))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; });
+  nack_majority(*ctx);
+  nack_majority(*ctx);
+  ctx->exec([&] {
+    ASSERT_EQ(asked_at.size(), 2u);
+    EXPECT_GE(asked_at[0] - nacked_at[0], 50);
+    EXPECT_LT(asked_at[0] - nacked_at[0], 100);
+    EXPECT_GE(asked_at[1] - nacked_at[1], 100) << "the second fast retry waits twice as long";
+    EXPECT_LT(asked_at[1] - nacked_at[1], 200);
+    EXPECT_EQ(abd().counters().fast_retries, 2u);
+  });
 
   const Result result = ctx->check();
   EXPECT_TRUE(result.ok) << result.message;
