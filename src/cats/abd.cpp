@@ -65,7 +65,7 @@ ConsistentABD::ConsistentABD() {
     // without default-inserting an empty replica — otherwise a read storm of
     // absent keys grows the store without bound.
     auto sit = store_.find(msg.key);
-    const bool exists = sit != store_.end() && sit->second.exists;
+    const bool exists = sit != store_.end();
     trigger(make_event<AbdReadAckMsg>(self_.addr, msg.source(), msg.op, msg.key, msg.view,
                                       exists ? sit->second.tag : VersionTag{}, exists,
                                       exists ? sit->second.value : Value{}),
@@ -80,14 +80,7 @@ ConsistentABD::ConsistentABD() {
       replica_nack(msg.source(), msg.op, msg.key);
       return;
     }
-    if (msg.exists) {
-      Replica& rep = store_[msg.key];
-      if (!rep.exists || rep.tag < msg.tag) {
-        rep.tag = msg.tag;
-        rep.exists = true;
-        rep.value = msg.value;
-      }
-    }
+    if (msg.exists) merge_newer(store_, msg.key, msg.tag, msg.value);
     trigger(make_event<AbdWriteAckMsg>(self_.addr, msg.source(), msg.op, msg.key, msg.view),
             network_);
   });
@@ -97,12 +90,8 @@ ConsistentABD::ConsistentABD() {
   // ---- ring & timers -------------------------------------------------------
 
   subscribe<RingView>(ring_, [this](const RingView& v) {
-    ring_view_received_ = true;
-    self_ = v.self;
-    sole_member_ = v.sole_member;
-    has_pred_ = v.has_predecessor;
-    pred_ = v.predecessor;
-    succs_ = v.successors;
+    ring_view_ = v.neighborhood;
+    self_ = ring_view_.self;
     ring_epoch_ = std::max(ring_epoch_, v.epoch);
     evaluate_reconfigurations();
   });
@@ -223,8 +212,7 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
       [wid](const LookupResponse& r) { return r.id == wid; });
   // A retry asks fresh: the router's learned view may be what failed.
   auto ask = [&] {
-    trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree, op.attempt > 0),
-            router_);
+    trigger(make_event<LookupRequest>(wid, op.key, op.attempt > 0), router_);
   };
   ask();
   protocol::ArmedTimer reask;  // armed while an unusable answer backs off

@@ -102,9 +102,10 @@ class ConsistentABD : public ComponentDefinition {
   std::vector<std::string> invariant_violations() const;
 
  private:
+  /// A stored key. Presence in `store_` (or a merged state map) is what
+  /// makes the key exist: entries are only ever created by a write.
   struct Replica {
     VersionTag tag{};
-    bool exists = false;
     Value value;
   };
 
@@ -232,10 +233,16 @@ class ConsistentABD : public ComponentDefinition {
   /// consensus (prepare/promise/accept/accepted), installs, and catch-up
   /// fetches. Lives in abd_views.cpp with the rest of the view manager.
   void subscribe_view_protocol();
-  bool ring_responsible_for(RingKey key) const;
   const RangeState* covering_range(RingKey key) const;
   std::vector<KeyState> dump_range(RingKey lo, RingKey hi) const;
-  std::vector<NodeRef> group_headed_by(const NodeRef& head) const;
+  /// The max-tag merge every state transfer uses: `(tag, value)` replaces
+  /// the entry for `key` in `into` unless that entry already holds a newer
+  /// or equal tag.
+  template <class Map>
+  static void merge_newer(Map& into, RingKey key, const VersionTag& tag, const Value& value) {
+    auto [it, inserted] = into.try_emplace(key);
+    if (inserted || it->second.tag < tag) it->second = Replica{tag, value};
+  }
   static bool same_member_set(const std::vector<NodeRef>& a, const std::vector<NodeRef>& b);
   std::uint64_t next_ballot_round(const Reconfig* prev) const;
   void install_view(const GroupView& view, const std::vector<KeyState>& state);
@@ -265,11 +272,7 @@ class ConsistentABD : public ComponentDefinition {
   std::vector<std::string> recorded_violations_;
 
   // Cached ring neighborhood (drives reconfiguration proposals).
-  bool ring_view_received_ = false;
-  bool sole_member_ = false;
-  bool has_pred_ = false;
-  NodeRef pred_{};
-  std::vector<NodeRef> succs_;
+  RingNeighborhood ring_view_;
   std::uint64_t ring_epoch_ = 0;
   std::uint64_t fetch_attempts_ = 0;
 

@@ -208,12 +208,6 @@ void ConsistentABD::subscribe_view_protocol() {
 
 // ---- view state & policy ----------------------------------------------------
 
-bool ConsistentABD::ring_responsible_for(RingKey key) const {
-  if (!ring_view_received_) return false;
-  if (has_pred_) return in_interval_oc(pred_.key, self_.key, key);
-  return sole_member_;
-}
-
 const ConsistentABD::RangeState* ConsistentABD::covering_range(RingKey key) const {
   const RangeState* best = nullptr;
   for (const auto& [hi, r] : ranges_) {
@@ -232,22 +226,9 @@ std::optional<GroupView> ConsistentABD::view_covering(RingKey key) const {
 std::vector<KeyState> ConsistentABD::dump_range(RingKey lo, RingKey hi) const {
   std::vector<KeyState> out;
   for (const auto& [k, rep] : store_) {
-    if (rep.exists && in_interval_oc(lo, hi, k)) out.push_back(KeyState{k, rep.tag, rep.value});
+    if (in_interval_oc(lo, hi, k)) out.push_back(KeyState{k, rep.tag, rep.value});
   }
   return out;
-}
-
-std::vector<NodeRef> ConsistentABD::group_headed_by(const NodeRef& head) const {
-  std::vector<NodeRef> g{head};
-  auto push = [this, &g](const NodeRef& n) {
-    if (g.size() >= params_.replication_degree) return;
-    const bool dup = std::any_of(g.begin(), g.end(),
-                                 [&n](const NodeRef& m) { return m.addr == n.addr; });
-    if (!dup) g.push_back(n);
-  };
-  push(self_);
-  for (const auto& s : succs_) push(s);
-  return g;
 }
 
 bool ConsistentABD::same_member_set(const std::vector<NodeRef>& a,
@@ -273,14 +254,7 @@ void ConsistentABD::install_view(const GroupView& view, const std::vector<KeySta
   auto have = ranges_.find(view.hi);
   if (have != ranges_.end() && have->second.view.version >= view.version) return;
   // Merge the transferred state by max tag: never regress a replica.
-  for (const auto& ks : state) {
-    Replica& rep = store_[ks.key];
-    if (!rep.exists || rep.tag < ks.tag) {
-      rep.tag = ks.tag;
-      rep.exists = true;
-      rep.value = ks.value;
-    }
-  }
+  for (const auto& ks : state) merge_newer(store_, ks.key, ks.tag, ks.value);
   // Drop every older range this view supersedes: the same hi (member change)
   // or a parent that covered this child's interval before a split. GC the
   // consensus slots and proposals that belonged to the superseded ranges.
@@ -304,10 +278,10 @@ void ConsistentABD::install_view(const GroupView& view, const std::vector<KeySta
 }
 
 void ConsistentABD::evaluate_reconfigurations() {
-  if (!ring_view_received_) return;
+  const RingNeighborhood& ring = ring_view_;
   // Genesis: the first node of a fresh ring installs the full-circle view
   // unilaterally — there is no old view to fence.
-  if (sole_member_ && ranges_.empty()) {
+  if (ring.sole_member && ranges_.empty()) {
     install_view(GroupView{self_.key, self_.key, 1, {self_}}, {});
     return;
   }
@@ -315,20 +289,21 @@ void ConsistentABD::evaluate_reconfigurations() {
   // it — e.g. a healed boundary node whose old group evicted it while it was
   // partitioned away. Pull copies from a successor (a replica of our
   // ranges); once installed, the member-change path below re-proposes us in.
-  if (has_pred_ && covering_range(self_.key) == nullptr && !succs_.empty()) {
-    const NodeRef& target = succs_[fetch_attempts_++ % succs_.size()];
+  if (ring.has_predecessor && covering_range(self_.key) == nullptr && !ring.successors.empty()) {
+    const NodeRef& target = ring.successors[fetch_attempts_++ % ring.successors.size()];
     ++counters_.view_fetches;
-    trigger(make_event<ViewFetchMsg>(self_.addr, target.addr, pred_.key, self_.key), network_);
+    trigger(make_event<ViewFetchMsg>(self_.addr, target.addr, ring.predecessor.key, self_.key),
+            network_);
   }
   // Drop proposals for ranges the ring no longer makes us responsible for.
   for (auto it = reconfigs_.begin(); it != reconfigs_.end();) {
-    it = !ring_responsible_for(it->first) ? reconfigs_.erase(it) : std::next(it);
+    it = !ring.responsible_for(it->first) ? reconfigs_.erase(it) : std::next(it);
   }
   std::vector<RingKey> held;
   for (const auto& [hi, r] : ranges_) held.push_back(hi);
   for (RingKey hi : held) {
     auto rit = ranges_.find(hi);
-    if (rit == ranges_.end() || !ring_responsible_for(hi)) continue;
+    if (rit == ranges_.end() || !ring.responsible_for(hi)) continue;
     const GroupView& cur = rit->second.view;
     auto rc = reconfigs_.find(hi);
     // A decided reconfiguration keeps retransmitting installs until every
@@ -342,15 +317,17 @@ void ConsistentABD::evaluate_reconfigurations() {
     }
     const std::uint64_t target = cur.version + 1;
     std::vector<GroupView> want;
-    if (has_pred_ && in_interval_oo(cur.lo, cur.hi, pred_.key)) {
+    const std::size_t rd = params_.replication_degree;
+    if (ring.has_predecessor && in_interval_oo(cur.lo, cur.hi, ring.predecessor.key)) {
       // A node joined inside the range: split at the predecessor. The
       // predecessor heads the lower child; we keep the upper.
-      want.push_back(GroupView{cur.lo, pred_.key, target, group_headed_by(pred_)});
-      want.push_back(GroupView{pred_.key, cur.hi, target, group_headed_by(self_)});
+      const NodeRef& pred = ring.predecessor;
+      want.push_back(GroupView{cur.lo, pred.key, target, ring.group_headed_by(pred, rd)});
+      want.push_back(GroupView{pred.key, cur.hi, target, ring.group_headed_by(self_, rd)});
     } else {
-      std::vector<NodeRef> desired = group_headed_by(self_);
+      std::vector<NodeRef> desired = ring.group_headed_by(self_, rd);
       if (same_member_set(desired, cur.members)) {
-        if (rc != reconfigs_.end()) {
+        if (rc != reconfigs_.end() && rc->second.target == target) {
           // The ring flapped back to the current membership while a proposal
           // is in flight. Its Prepare may already have fenced acceptors, so
           // abandoning it would leave the range fenced with nobody driving
@@ -358,7 +335,11 @@ void ConsistentABD::evaluate_reconfigurations() {
           // unavailability windows under failure-detector flapping). Keep
           // driving the existing goal to a decision; if the ring still
           // disagrees with the decided view afterwards, the next evaluation
-          // proposes a correction.
+          // proposes a correction. A proposal for an older version is not
+          // resumed: another proposer's install of `cur` overtook it, and
+          // its children carry a version no newer than `cur`, so deciding
+          // them at `target` would install nothing and leave the range
+          // fenced for good.
           want = rc->second.proposed;
         } else if (rit->second.fenced &&
                    now() - rit->second.fenced_at >= params_.view_reconfig_period_ms) {
@@ -423,9 +404,7 @@ void ConsistentABD::send_installs(Reconfig& rec) {
   for (const auto& child : rec.children) {
     std::vector<KeyState> state;
     for (const auto& [k, rep] : rec.merged_state) {
-      if (rep.exists && in_interval_oc(child.lo, child.hi, k)) {
-        state.push_back(KeyState{k, rep.tag, rep.value});
-      }
+      if (in_interval_oc(child.lo, child.hi, k)) state.push_back(KeyState{k, rep.tag, rep.value});
     }
     // Installs go to the old members too, not just the new ones: a member
     // evicted by this decision is fenced (it promised the decree) and stays
@@ -443,14 +422,7 @@ void ConsistentABD::send_installs(Reconfig& rec) {
 }
 
 void ConsistentABD::merge_promise_state(Reconfig& rec, const std::vector<KeyState>& state) {
-  for (const auto& ks : state) {
-    Replica& rep = rec.merged_state[ks.key];
-    if (!rep.exists || rep.tag < ks.tag) {
-      rep.tag = ks.tag;
-      rep.exists = true;
-      rep.value = ks.value;
-    }
-  }
+  for (const auto& ks : state) merge_newer(rec.merged_state, ks.key, ks.tag, ks.value);
 }
 
 }  // namespace kompics::cats

@@ -37,7 +37,6 @@ CatsNode::CatsNode(NodeRef self, Address bootstrap_server, Address monitor_serve
   connect(cyclon.provided<NodeSampling>(), ring.required<NodeSampling>());
   connect(ring.provided<Ring>(), router.required<Ring>());
   connect(ring.provided<Ring>(), abd.required<Ring>());
-  connect(router.provided<Router>(), ring.required<Router>());
   connect(router.provided<Router>(), abd.required<Router>());
   // The ABD's view manager feeds installed quorum views back to the router,
   // which answers lookups with (members, view version) for consistent-quorum
@@ -87,7 +86,7 @@ CatsNode::CatsNode(NodeRef self, Address bootstrap_server, Address monitor_serve
   // Track orphaning: a ready node whose view lost every successor without
   // being a genuine sole member needs to find the ring again.
   subscribe<RingView>(ring.provided<Ring>(), [this](const RingView& view) {
-    orphaned_ = ready_ && view.successors.empty() && !view.sole_member;
+    orphaned_ = ready_ && view.neighborhood.successors.empty() && !view.neighborhood.sole_member;
   });
 
   subscribe<BootstrapResponse>(bootstrap_client.provided<Bootstrap>(),

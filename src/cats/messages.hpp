@@ -269,18 +269,15 @@ class RouteLookupMsg : public Message {
   KOMPICS_EVENT(RouteLookupMsg, Message);
 
  public:
-  RouteLookupMsg(Address s, Address d, NodeRef origin, OpId op, RingKey key,
-                 std::uint32_t group_size, std::uint32_t ttl)
-      : Message(s, d), origin(origin), op(op), key(key), group_size(group_size), ttl(ttl) {}
+  RouteLookupMsg(Address s, Address d, NodeRef origin, OpId op, RingKey key, std::uint32_t ttl)
+      : Message(s, d), origin(origin), op(op), key(key), ttl(ttl) {}
   static constexpr auto wire_fields() {
     return wire::fields(&RouteLookupMsg::origin, &RouteLookupMsg::op,
-                        wire::fixed(&RouteLookupMsg::key), &RouteLookupMsg::group_size,
-                        &RouteLookupMsg::ttl);
+                        wire::fixed(&RouteLookupMsg::key), &RouteLookupMsg::ttl);
   }
   NodeRef origin;
   OpId op;
   RingKey key;
-  std::uint32_t group_size;
   std::uint32_t ttl;
 };
 

@@ -114,6 +114,46 @@ class JoinRing : public Event {
   std::vector<Address> contacts;
 };
 
+/// A node's ring neighborhood as its ring component last published it, and
+/// the one place that decides which keys the node is responsible for and
+/// which replica group a node heads. Default-constructed (no RingView seen
+/// yet, so not a ring member) it is responsible for nothing.
+struct RingNeighborhood {
+  NodeRef self;
+  NodeRef predecessor;
+  bool has_predecessor = false;
+  std::vector<NodeRef> successors;  ///< nearest first; never contains self
+  /// True only for a node that bootstrapped a fresh ring and has never had
+  /// a peer. A node that LOST all its neighbors (suspected under a
+  /// partition) is NOT a sole member.
+  bool sole_member = false;
+
+  bool responsible_for(RingKey key) const {
+    if (has_predecessor) return in_interval_oc(predecessor.key, self.key, key);
+    // Whole-ring authority belongs only to a genuine sole member. A node
+    // that merely lost all neighbors (e.g. cut off by a partition) must
+    // refuse it, or it would commit split-brain writes at quorum 1.
+    return sole_member;
+  }
+
+  /// The replica group of `size` members headed by `head`: `head`, then
+  /// this node, then its successors, without duplicates. With `head == self`
+  /// it is the group of this node's own responsibility interval.
+  std::vector<NodeRef> group_headed_by(const NodeRef& head, std::size_t size) const {
+    std::vector<NodeRef> group{head};
+    auto push = [&group, size](const NodeRef& n) {
+      if (group.size() >= size) return;
+      for (const auto& m : group) {
+        if (m.addr == n.addr) return;
+      }
+      group.push_back(n);
+    };
+    push(self);
+    for (const auto& s : successors) push(s);
+    return group;
+  }
+};
+
 /// Current ring neighborhood of this node. Emitted on every change.
 class RingView : public Event {
   KOMPICS_EVENT(RingView, Event);
@@ -121,21 +161,9 @@ class RingView : public Event {
  public:
   RingView(NodeRef self, NodeRef predecessor, bool has_predecessor,
            std::vector<NodeRef> successors, bool sole_member, std::uint64_t epoch = 0)
-      : self(self),
-        predecessor(predecessor),
-        has_predecessor(has_predecessor),
-        successors(std::move(successors)),
-        sole_member(sole_member),
+      : neighborhood{self, predecessor, has_predecessor, std::move(successors), sole_member},
         epoch(epoch) {}
-  NodeRef self;
-  NodeRef predecessor;
-  bool has_predecessor;
-  std::vector<NodeRef> successors;
-  /// True only for a node that bootstrapped a fresh ring and has never had
-  /// a peer. A node that LOST all its neighbors (suspected under a
-  /// partition) is NOT a sole member: claiming whole-ring authority there
-  /// would be split-brain (see router.cpp).
-  bool sole_member;
+  RingNeighborhood neighborhood;
   /// Monotonic count of local view changes. Quorum-view reconfiguration
   /// ballots fold it in so proposal rounds advance with ring churn.
   std::uint64_t epoch;
@@ -168,11 +196,9 @@ class LookupRequest : public Event {
   KOMPICS_EVENT(LookupRequest, Event);
 
  public:
-  LookupRequest(OpId id, RingKey key, std::size_t group_size, bool fresh = false)
-      : id(id), key(key), group_size(group_size), fresh(fresh) {}
+  LookupRequest(OpId id, RingKey key, bool fresh = false) : id(id), key(key), fresh(fresh) {}
   OpId id;
   RingKey key;
-  std::size_t group_size;
   /// Bypass (and evict) the router's learned view for the key's range and
   /// route to the responsible node, leaving through a random entry that
   /// precedes the key. Retries set it: the cached view, or a dead successor

@@ -4,12 +4,6 @@
 
 namespace kompics::cats {
 
-namespace {
-// Join lookups use ids far away from ABD's op-id space so that responses
-// fanned out on a shared Router port are trivially distinguishable.
-constexpr OpId kJoinIdBase = 0xF0000000000000ULL;
-}  // namespace
-
 CatsRing::CatsRing() {
   register_cats_serializers();
 
@@ -42,48 +36,42 @@ CatsRing::CatsRing() {
       return;
     }
     joining_ = true;
-    join_lookup_id_ = kJoinIdBase + self_.key;
     send_join_lookup();
-  });
-
-  subscribe<LookupResponse>(router_, [this](const LookupResponse& resp) {
-    if (!joining_ || resp.id != join_lookup_id_) return;  // not ours (shared port)
-    if (resp.group.empty()) return;                       // retry timer pending
-    if (resp.group[0].addr == self_.addr) {
-      // The ring already wove us in (a neighbor's Notify/stabilization ran
-      // while our lookup was in flight), so the responsible node for our
-      // own key is... us. If we have neighbors, the join IS complete;
-      // rejecting this answer would retry forever.
-      if (!succs_.empty() || has_pred_) {
-        joining_ = false;
-        ready_ = true;
-        lone_ = false;
-        set_monitoring();
-        publish_view();
-        trigger(make_event<RingReady>(self_), ring_);
-      }
-      return;
-    }
-    complete_join(resp.group);
   });
 
   subscribe<JoinRetry>(timer_, [this](const JoinRetry&) {
     if (!joining_) return;
+    if (!succs_.empty() || has_pred_) {
+      // The ring already wove us in: a ready node adopted us from a gossip
+      // sample and notified us, so FindSuccessor lookups for our key now
+      // end here, where they are dropped until we are ready. The Notify
+      // gave us neighbors, so the join is complete; waiting for a
+      // FoundSuccessor would retry forever.
+      become_ready();
+      return;
+    }
     ++join_attempt_;  // rotate to the next bootstrap contact
     send_join_lookup();
   });
 
   subscribe<StabilizeRound>(timer_, [this](const StabilizeRound&) { on_stabilize(); });
 
-  // Ring-level successor lookup — the fallback join path. Unlike the
-  // router's table-driven forwarding (which can be poisoned by descriptors
-  // of dead nodes still circulating in gossip), this only traverses
-  // successor lists, which the failure detector keeps live.
+  // Ring-level successor lookup — the join path. Unlike the router's
+  // table-driven forwarding (which can be poisoned by descriptors of dead
+  // nodes still circulating in gossip), this only traverses successor
+  // lists, which the failure detector keeps live.
   subscribe<FindSuccessorMsg>(network_, [this](const FindSuccessorMsg& msg) {
     if (!ready_) return;  // not a member: cannot answer or route
+    // Not RingNeighborhood::responsible_for: a ready node with no successor
+    // must answer here, since nobody else can place the joiner (the first
+    // node of a ring, or one whose neighbors all died), and a wrong answer
+    // only costs stabilization rounds. The router must refuse there unless
+    // it is a sole member: its answers pick the replica group that quorum
+    // writes commit to.
     const bool responsible =
         succs_.empty() || (has_pred_ && in_interval_oc(pred_.key, self_.key, msg.target));
     if (responsible) {
+      placed_joiner_ = msg.joiner.addr;
       trigger(make_event<FoundSuccessorMsg>(self_.addr, msg.joiner.addr, self_, succs_),
               network_);
       return;
@@ -178,6 +166,16 @@ CatsRing::CatsRing() {
   subscribe<NotifyMsg>(network_, [this](const NotifyMsg& msg) {
     bool changed = false;
     if (!has_pred_ || in_interval_oo(pred_.key, self_.key, msg.from.key)) {
+      if (has_pred_ && ready_ && msg.from.addr == placed_joiner_) {
+        // A joiner we placed announces itself: answer the old predecessor's
+        // next stabilization probe now, so it adopts the joiner at once.
+        // A join completes after one lookup round trip, so under bulk joins
+        // a predecessor that waited for its next round would skip ahead
+        // past every node that joined meanwhile, leaving overlapping
+        // responsibility intervals whose owners duel over replica groups.
+        trigger(make_event<RingStateMsg>(self_.addr, pred_.addr, self_, true, msg.from, succs_),
+                network_);
+      }
       has_pred_ = true;
       pred_ = msg.from;
       changed = true;
@@ -212,29 +210,17 @@ CatsRing::CatsRing() {
 
 void CatsRing::send_join_lookup() {
   // The joiner is not a ring member yet, so it cannot rely on (or pollute)
-  // any routing table: the successor lookup is shipped directly to one of
-  // the bootstrap contacts. Even attempts resolve through the contact's
-  // one-hop router (fast); odd attempts fall back to ring-level
-  // FindSuccessor routing, which is immune to routing tables poisoned by
-  // gossip about dead nodes. Retries rotate contacts.
+  // any routing table: a ring-level FindSuccessor for its own key is
+  // shipped directly to one of the bootstrap contacts. Retries rotate
+  // contacts.
   const Address contact = join_contacts_[join_attempt_ % join_contacts_.size()];
-  if (join_attempt_ % 2 == 0) {
-    trigger(make_event<RouteLookupMsg>(self_.addr, contact, self_, join_lookup_id_, self_.key,
-                                       static_cast<std::uint32_t>(params_.successor_list_size),
+  trigger(make_event<FindSuccessorMsg>(self_.addr, contact, self_, self_.key,
                                        OneHopRouter::kMaxHops),
-            network_);
-  } else {
-    trigger(make_event<FindSuccessorMsg>(self_.addr, contact, self_, self_.key,
-                                         OneHopRouter::kMaxHops),
-            network_);
-  }
+          network_);
   trigger(timing::schedule<JoinRetry>(params_.stabilization_period_ms / 2 + 1), timer_);
 }
 
 void CatsRing::complete_join(const std::vector<NodeRef>& group) {
-  joining_ = false;
-  ready_ = true;
-  lone_ = false;
   succs_.clear();
   for (const auto& n : group) {
     if (n.addr == self_.addr) continue;
@@ -245,6 +231,13 @@ void CatsRing::complete_join(const std::vector<NodeRef>& group) {
   if (!succs_.empty()) {
     trigger(make_event<NotifyMsg>(self_.addr, succs_[0].addr, self_), network_);
   }
+  become_ready();
+}
+
+void CatsRing::become_ready() {
+  joining_ = false;
+  ready_ = true;
+  lone_ = false;
   set_monitoring();
   publish_view();
   trigger(make_event<RingReady>(self_), ring_);

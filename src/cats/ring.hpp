@@ -1,12 +1,13 @@
 #pragma once
 
 // CatsRing (Fig. 11): builds and maintains the consistent-hashing ring.
-// Chord-style protocol: a joiner resolves its successor through the router,
-// adopts the successor's list, and announces itself with Notify; periodic
-// stabilization reconciles predecessor/successor pointers and refreshes the
-// successor list; the ping failure detector evicts dead neighbors. The ring
-// emits RingView indications consumed by the router (responsibility
-// intervals, replica groups) and RingReady once the join completes.
+// Chord-style protocol: a joiner resolves its successor with a ring-level
+// FindSuccessor lookup sent to a bootstrap contact, adopts the successor's
+// list, and announces itself with Notify; periodic stabilization reconciles
+// predecessor/successor pointers and refreshes the successor list; the ping
+// failure detector evicts dead neighbors. The ring emits RingView
+// indications consumed by the router and ABD (responsibility intervals,
+// replica groups) and RingReady once the join completes.
 
 #include <map>
 #include <string>
@@ -74,6 +75,7 @@ class CatsRing : public ComponentDefinition {
 
   void send_join_lookup();
   void complete_join(const std::vector<NodeRef>& group);
+  void become_ready();
   void on_stabilize();
   void adopt_successor_list(const NodeRef& head, const std::vector<NodeRef>& rest);
   void set_monitoring();
@@ -86,16 +88,15 @@ class CatsRing : public ComponentDefinition {
   Positive<timing::Timer> timer_ = require<timing::Timer>();
   Positive<EventuallyPerfectFD> fd_ = require<EventuallyPerfectFD>();
   Positive<NodeSampling> sampling_ = require<NodeSampling>();
-  Positive<Router> router_ = require<Router>();
 
   NodeRef self_;
   CatsParams params_;
   bool joining_ = false;
   bool ready_ = false;
   bool lone_ = false;  ///< bootstrapped fresh and never saw a peer
-  OpId join_lookup_id_ = 0;
   std::size_t join_attempt_ = 0;
   std::vector<Address> join_contacts_;
+  Address placed_joiner_{};  ///< last joiner whose FindSuccessor this node answered
   bool has_pred_ = false;
   NodeRef pred_{};
   std::vector<NodeRef> succs_;       // nearest first; never contains self

@@ -1,6 +1,5 @@
 #include "cats/router.hpp"
 
-#include <algorithm>
 #include <array>
 
 namespace kompics::cats {
@@ -18,14 +17,10 @@ OneHopRouter::OneHopRouter() {
   });
 
   subscribe<RingView>(ring_, [this](const RingView& view) {
-    view_received_ = true;
-    sole_member_ = view.sole_member;
-    self_ = view.self;
-    has_pred_ = view.has_predecessor;
-    pred_ = view.predecessor;
-    succs_ = view.successors;
-    if (view.has_predecessor) learn(view.predecessor);
-    for (const auto& s : view.successors) learn(s);
+    ring_view_ = view.neighborhood;
+    self_ = ring_view_.self;
+    if (ring_view_.has_predecessor) learn(ring_view_.predecessor);
+    for (const auto& s : ring_view_.successors) learn(s);
   });
 
   // Mirror the local ABD's installed quorum views.
@@ -37,8 +32,8 @@ OneHopRouter::OneHopRouter() {
 
   subscribe<LookupRequest>(router_, [this](const LookupRequest& req) {
     evict_stale();
-    if (responsible_for(req.key)) {
-      handle_lookup_at_responsible(self_, req.id, req.key, req.group_size);
+    if (ring_view_.responsible_for(req.key)) {
+      handle_lookup_at_responsible(self_, req.id, req.key);
       return;
     }
     auto hit = covering(learned_, req.key);
@@ -57,22 +52,22 @@ OneHopRouter::OneHopRouter() {
       trigger(make_event<LookupResponse>(req.id, req.key, v.members, v.version), router_);
       return;
     }
-    protocol::spawn(relay_lookup(req.id, req.key, req.group_size, req.fresh));
+    protocol::spawn(relay_lookup(req.id, req.key, req.fresh));
   });
 
   subscribe<RouteLookupMsg>(network_, [this](const RouteLookupMsg& msg) {
-    // Note: the origin is deliberately NOT learned here — join lookups come
-    // from nodes that are not ring members yet, and routing to a non-member
-    // can livelock a lookup for that node's own key.
-    if (responsible_for(msg.key)) {
-      handle_lookup_at_responsible(msg.origin, msg.op, msg.key, msg.group_size);
+    // Note: the origin is deliberately NOT learned here — a coordinator need
+    // not be a ring member (ABD takes client operations before its node's
+    // join completes, and after a partition cut it off), and routing to a
+    // non-member can livelock a lookup for that node's own key.
+    if (ring_view_.responsible_for(msg.key)) {
+      handle_lookup_at_responsible(msg.origin, msg.op, msg.key);
       return;
     }
     // Intermediate hops always take the successor-side rule. With no closer
     // node to send it to, or its hop budget spent, the lookup is answered
     // empty at once: the origin re-asks instead of waiting out a timeout.
-    if (msg.ttl == 0 ||
-        !forward(msg.origin, msg.op, msg.key, msg.group_size, msg.ttl - 1, /*fresh=*/false)) {
+    if (msg.ttl == 0 || !forward(msg.origin, msg.op, msg.key, msg.ttl - 1, /*fresh=*/false)) {
       ++counters_.lookups_unroutable;
       answer(msg.origin, msg.op, msg.key, GroupView{});
     }
@@ -93,14 +88,13 @@ OneHopRouter::OneHopRouter() {
   });
 }
 
-protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, std::size_t group_size,
-                                                  bool fresh) {
+protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, bool fresh) {
   ++counters_.lookups_relayed;
   // Open the result stream BEFORE forwarding: a same-process responsible
   // node can answer inline.
   auto results = co_await network_.open<LookupResultMsg>(
       [op](const LookupResultMsg& m) { return m.op == op; });
-  if (!forward(self_, op, key, static_cast<std::uint32_t>(group_size), kMaxHops, fresh)) {
+  if (!forward(self_, op, key, kMaxHops, fresh)) {
     // Nowhere to route: answer with an empty group; the caller re-asks.
     ++counters_.lookups_unroutable;
     answer(self_, op, key, GroupView{});
@@ -172,24 +166,16 @@ OneHopRouter::ViewMap::iterator OneHopRouter::covering(ViewMap& views, RingKey k
   return it != views.end() && it->second.view.covers(key) ? it : views.end();
 }
 
-bool OneHopRouter::responsible_for(RingKey key) const {
-  if (!view_received_) return false;  // not a ring member yet
-  if (has_pred_) return in_interval_oc(pred_.key, self_.key, key);
-  // Whole-ring authority belongs only to a genuine sole member (a fresh
-  // ring's first node). A node that merely LOST all neighbors — e.g. cut
-  // off by a partition — must refuse authority, otherwise it would commit
-  // split-brain writes at quorum 1 (found by the partition tests).
-  return sole_member_;
-}
-
-GroupView OneHopRouter::authoritative_view(RingKey key, std::size_t group_size) {
+GroupView OneHopRouter::authoritative_view(RingKey key) {
   // Bug emulation (params.hpp): the pre-consistent-quorums router answered
   // lookups from the raw ring neighborhood, never from installed views.
   if (!params_.inject_stale_view_bug) {
     auto it = covering(views_, key);
     if (it != views_.end()) return it->second.view;
   }
-  return GroupView{has_pred_ ? pred_.key : self_.key, self_.key, 0, build_group(group_size)};
+  const RingNeighborhood& v = ring_view_;
+  return GroupView{v.has_predecessor ? v.predecessor.key : self_.key, self_.key, 0,
+                   v.group_headed_by(self_, params_.replication_degree)};
 }
 
 std::vector<std::string> OneHopRouter::invariant_violations() const {
@@ -232,24 +218,12 @@ std::vector<std::string> OneHopRouter::invariant_violations() const {
   return out;
 }
 
-std::vector<NodeRef> OneHopRouter::build_group(std::size_t group_size) const {
-  // The responsible node heads the group; its ring successors replicate.
-  std::vector<NodeRef> group{self_};
-  for (const auto& s : succs_) {
-    if (group.size() >= group_size) break;
-    const bool dup = std::any_of(group.begin(), group.end(),
-                                 [&s](const NodeRef& g) { return g.addr == s.addr; });
-    if (!dup) group.push_back(s);
-  }
-  return group;
-}
-
 std::optional<NodeRef> OneHopRouter::next_hop(RingKey key, bool fresh) {
   // Our ring view decides the arc its successor list covers: a key up to
   // our last successor goes to the first successor at or after it. The
   // failure detector drops a dead successor from that list within seconds,
   // while its table entries live on until Cyclon and the TTL forget it.
-  for (const auto& s : succs_) {
+  for (const auto& s : ring_view_.successors) {
     if (s.addr != self_.addr && in_interval_oc(self_.key, s.key, key)) return s;
   }
   const TimeMs cutoff = now() - kEntryTtlMs;
@@ -268,7 +242,7 @@ std::optional<NodeRef> OneHopRouter::next_hop(RingKey key, bool fresh) {
     }
     if (n > 0) return pool[rng().next_below(n)];
     // Nothing live precedes the key: leave through the ring successor.
-    for (const auto& s : succs_) {
+    for (const auto& s : ring_view_.successors) {
       if (s.addr != self_.addr) return s;
     }
     return std::nullopt;
@@ -293,17 +267,16 @@ std::optional<NodeRef> OneHopRouter::next_hop(RingKey key, bool fresh) {
       break;
     }
   }
-  if (has_pred_) consider(pred_);
+  if (ring_view_.has_predecessor) consider(ring_view_.predecessor);
   return best;
 }
 
-bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key,
-                           std::uint32_t group_size, std::uint32_t ttl, bool fresh) {
+bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key, std::uint32_t ttl,
+                           bool fresh) {
   const std::optional<NodeRef> hop = next_hop(key, fresh);
   if (!hop) return false;
   ++counters_.lookups_forwarded;
-  trigger(make_event<RouteLookupMsg>(self_.addr, hop->addr, origin, op, key, group_size, ttl),
-          network_);
+  trigger(make_event<RouteLookupMsg>(self_.addr, hop->addr, origin, op, key, ttl), network_);
   return true;
 }
 
@@ -316,10 +289,9 @@ void OneHopRouter::answer(const NodeRef& origin, OpId op, RingKey key, GroupView
   }
 }
 
-void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
-                                                std::size_t group_size) {
+void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key) {
   ++counters_.lookups_served;
-  answer(origin, op, key, authoritative_view(key, group_size));
+  answer(origin, op, key, authoritative_view(key));
 }
 
 }  // namespace kompics::cats

@@ -101,22 +101,18 @@ class OneHopRouter : public ComponentDefinition {
   /// (correlated by op id), learns the group and relays it to the local
   /// client port. The frame garbage-collects itself after one op-timeout
   /// period: the origin's operation deadline owns the retry policy.
-  protocol::Proto<void> relay_lookup(OpId op, RingKey key, std::size_t group_size, bool fresh);
+  protocol::Proto<void> relay_lookup(OpId op, RingKey key, bool fresh);
   void learn(const NodeRef& n);
-  void handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key,
-                                    std::size_t group_size);
-  bool responsible_for(RingKey key) const;
+  void handle_lookup_at_responsible(const NodeRef& origin, OpId op, RingKey key);
   /// The responsible node's answer: the installed view covering `key`, or
   /// the ring-successor group of its interval at version 0.
-  GroupView authoritative_view(RingKey key, std::size_t group_size);
-  std::vector<NodeRef> build_group(std::size_t group_size) const;
+  GroupView authoritative_view(RingKey key);
   /// Sends a lookup result to its origin: over the network, or straight to
   /// the local client port when the origin is this node.
   void answer(const NodeRef& origin, OpId op, RingKey key, GroupView view);
   /// The next hop for `key` (see the forwarding rule above), if any.
   std::optional<NodeRef> next_hop(RingKey key, bool fresh);
-  bool forward(const NodeRef& origin, OpId op, RingKey key, std::uint32_t group_size,
-               std::uint32_t ttl, bool fresh);
+  bool forward(const NodeRef& origin, OpId op, RingKey key, std::uint32_t ttl, bool fresh);
   void evict_stale();
 
   Negative<Router> router_ = provide<Router>();
@@ -135,21 +131,17 @@ class OneHopRouter : public ComponentDefinition {
   };
   std::map<RingKey, Entry> table_;  // ordered by ring key for successor scans
   // Latest ring view (authoritative responsibility; its neighbours are
-  // next hops even after their table entries expire).
-  // Until the first view arrives the node has not joined the ring and must
-  // never claim responsibility (a pre-join node would otherwise answer
-  // lookups as a lone ring).
-  bool view_received_ = false;
-  bool sole_member_ = false;
-  bool has_pred_ = false;
-  NodeRef pred_{};
-  std::vector<NodeRef> succs_;
+  // next hops even after their table entries expire). Until the first view
+  // arrives it is responsible for nothing: a pre-join node must never answer
+  // lookups as a lone ring.
+  RingNeighborhood ring_view_;
   // Installed quorum views published by the local ABD's view manager. A
   // lookup this node is responsible for is answered from the covering view
   // (members + version) when one exists: those are the only groups replicas
   // will acknowledge phases for. Without one, the ring-successor group is
-  // answered with view_version 0 — usable for ring joins, but coordinators
-  // must not run quorum phases under it.
+  // answered with view_version 0, which tells the coordinator that no view
+  // backs the range yet: it must not run quorum phases under it, and
+  // re-asks (abd.cpp).
   ViewMap views_;
   // Versioned views learned from relayed lookup answers; expire after
   // kEntryTtlMs. Bypassed under the inject_stale_view_bug emulation.

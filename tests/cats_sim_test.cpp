@@ -104,6 +104,22 @@ TEST(CatsRingSim, LateJoinerIsAdopted) {
   EXPECT_EQ(ring250.successors()[0].key, CatsSimulator::node_ring_key(300));
 }
 
+TEST(CatsRingSim, LateJoinerIsReadyBeforeItsFirstJoinRetry) {
+  // A join's first attempt completes: the FindSuccessor the joiner sends its
+  // first bootstrap contact is answered before the JoinRetry timer would
+  // send a second one (stabilization_period_ms / 2 + 1 ms after JoinRing,
+  // which itself waits for the bootstrap server's answer).
+  World w;
+  w.boot({100, 200, 300});
+  w.settle(6000);
+  ASSERT_EQ(w.cats->ready_count(), 3u);
+
+  w.cats->join(250);
+  w.settle(CatsParams{}.stabilization_period_ms / 2 + 1);
+  EXPECT_TRUE(w.cats->node(250).ring.definition_as<CatsRing>().ready());
+  EXPECT_EQ(w.cats->ready_count(), 4u);
+}
+
 TEST(CatsRingSim, FailureIsDetectedAndRingHeals) {
   World w;
   w.boot({1, 2, 3, 4, 5});

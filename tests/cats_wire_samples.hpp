@@ -183,7 +183,6 @@ inline void expect_same(const RouteLookupMsg& a, const RouteLookupMsg& b) {
   expect_eq(a.origin, b.origin);
   EXPECT_EQ(a.op, b.op);
   EXPECT_EQ(a.key, b.key);
-  EXPECT_EQ(a.group_size, b.group_size);
   EXPECT_EQ(a.ttl, b.ttl);
 }
 inline void expect_same(const LookupResultMsg& a, const LookupResultMsg& b) {
@@ -326,9 +325,9 @@ inline std::vector<Sample> all_samples() {
                      "8f010100000a591b0200000a5a1b0a000000000000700b00000000000070"));
   s.push_back(sample("RouteLookupMsg", 140,
                      RouteLookupMsg(kSrc, kDst, node(0x29, 0x05060710u, 29), 1006,
-                                    0x5000000000000006ull, 5, 130),
+                                    0x5000000000000006ull, 130),
                      "8c010100000a591b0200000a5a1b2900000000000000100706051d00ee070600"
-                     "000000000050058201"));
+                     "0000000000508201"));
   s.push_back(sample("LookupResultMsg", 141,
                      LookupResultMsg(kSrc, kDst, 1007, 0x5000000000000007ull,
                                      GroupView{0x5000000000000003ull, 0x5000000000000009ull, 58,

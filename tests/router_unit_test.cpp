@@ -40,12 +40,12 @@ class Harness : public ComponentDefinition {
   void sample(std::vector<NodeRef> nodes) {
     trigger(make_event<NodeSample>(std::move(nodes)), sampling_);
   }
-  void lookup(OpId id, RingKey key, std::size_t group, bool fresh = false) {
-    trigger(make_event<LookupRequest>(id, key, group, fresh), router_);
+  void lookup(OpId id, RingKey key, bool fresh = false) {
+    trigger(make_event<LookupRequest>(id, key, fresh), router_);
   }
   void remote_lookup(Address from, Address to, NodeRef origin, OpId op, RingKey key,
                      std::uint32_t ttl) {
-    trigger(make_event<RouteLookupMsg>(from, to, origin, op, key, 3, ttl), network_);
+    trigger(make_event<RouteLookupMsg>(from, to, origin, op, key, ttl), network_);
   }
   void inject_result(Address from, Address to, OpId op, RingKey key, GroupView view) {
     trigger(make_event<LookupResultMsg>(from, to, op, key, std::move(view)), network_);
@@ -105,7 +105,7 @@ struct RouterFixture : ::testing::Test {
 TEST_F(RouterFixture, NotResponsibleBeforeFirstRingView) {
   // Pre-join lookups must never be answered authoritatively: with no table
   // and no successors, the router reports an empty group (caller retries).
-  world->h().lookup(1, 123, 3);
+  world->h().lookup(1, 123);
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   EXPECT_TRUE(world->h().responses[0].group.empty());
@@ -115,7 +115,7 @@ TEST_F(RouterFixture, AuthoritativeAnswerUsesRingSuccessorList) {
   // Ring view: pred=40, self=50, succs=60,70,80. Keys in (40,50] are ours.
   world->h().view(world->self, true, node(40), {node(60), node(70), node(80)});
   step();
-  world->h().lookup(2, (45ull << 48), 3);
+  world->h().lookup(2, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   const auto& g = world->h().responses[0].group;
@@ -132,7 +132,7 @@ TEST_F(RouterFixture, AuthoritativeAnswerPrefersInstalledView) {
   world->h().publish_view(GroupView{node(40).key, node(50).key, 7,
                                     {world->self, node(60), node(70)}});
   step();
-  world->h().lookup(2, (45ull << 48), 3);
+  world->h().lookup(2, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   EXPECT_EQ(world->h().responses[0].view_version, 7u)
@@ -149,7 +149,7 @@ TEST_F(RouterFixture, NewerViewSupersedesCachedOlderOne) {
   world->h().publish_view(GroupView{node(40).key, node(50).key, 8,
                                     {world->self, node(60), node(80)}});
   step();
-  world->h().lookup(3, (45ull << 48), 3);
+  world->h().lookup(3, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   EXPECT_EQ(world->h().responses[0].view_version, 8u);
@@ -160,7 +160,7 @@ TEST_F(RouterFixture, NewerViewSupersedesCachedOlderOne) {
 TEST_F(RouterFixture, LoneRingIsResponsibleForEverything) {
   world->h().view(world->self, false, NodeRef{}, {}, /*sole_member=*/true);
   step();
-  world->h().lookup(3, (7ull << 48), 3);
+  world->h().lookup(3, (7ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
   ASSERT_EQ(world->h().responses[0].group.size(), 1u);
@@ -173,7 +173,7 @@ TEST_F(RouterFixture, FullTableSendsTheLookupStraightToTheKeysSuccessor) {
   step();
   // Key 25<<48 is not ours. Its successor, node 30, is responsible for it
   // whenever the table is complete: one hop, not a walk through 10 and 20.
-  world->h().lookup(4, (25ull << 48), 3);
+  world->h().lookup(4, (25ull << 48));
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
   EXPECT_EQ(world->h().forwarded[0].destination(), node(30).addr);
@@ -184,7 +184,7 @@ TEST_F(RouterFixture, FullTableSendsTheLookupStraightToTheKeysSuccessor) {
   EXPECT_EQ(world->r().counters().lookups_forwarded, 1u);
 
   // A key that is exactly a table entry's goes to that entry.
-  world->h().lookup(5, node(20).key, 3);
+  world->h().lookup(5, node(20).key);
   step();
   ASSERT_EQ(world->h().forwarded.size(), 2u);
   EXPECT_EQ(world->h().forwarded[1].destination(), node(20).addr);
@@ -194,14 +194,14 @@ TEST_F(RouterFixture, RingNeighboursStayHopsAfterTheirEntriesExpire) {
   world->h().view(world->self, true, node(40), {node(60), node(70)});
   step();
   // Key 65<<48 is past us; its successor in our ring view is node 70.
-  world->h().lookup(5, (65ull << 48), 3);
+  world->h().lookup(5, (65ull << 48));
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
   EXPECT_EQ(world->h().forwarded[0].destination(), node(70).addr);
   // Once the table entries the view filled have expired (and been evicted),
   // the view's successors are still candidates.
   sim.run_until(sim.now() + OneHopRouter::kEntryTtlMs + 1000);
-  world->h().lookup(6, (65ull << 48), 3);
+  world->h().lookup(6, (65ull << 48));
   step();
   EXPECT_EQ(world->r().table_size(), 0u);
   ASSERT_EQ(world->h().forwarded.size(), 2u);
@@ -227,7 +227,7 @@ TEST_F(RouterFixture, ExpiredEntriesAreNeverHops) {
       << "expired entries must not be used as hops";
   // A fresh origin lookup's random pick ignores them too: of the entries
   // preceding key 25, only node 10 is live.
-  world->h().lookup(8, (25ull << 48), 3, /*fresh=*/true);
+  world->h().lookup(8, (25ull << 48), /*fresh=*/true);
   step();
   ASSERT_EQ(world->h().forwarded.size(), 2u);
   EXPECT_EQ(world->h().forwarded[1].destination(), node(10).addr);
@@ -257,7 +257,7 @@ TEST_F(RouterFixture, OrphanedNodeRefusesWholeRingAuthority) {
   step();
   world->h().view(world->self, false, NodeRef{}, {}, /*sole_member=*/false);
   step();
-  world->h().lookup(42, (45ull << 48), 3);
+  world->h().lookup(42, (45ull << 48));
   step();
   // It may forward to last-known peers (fine) or answer with an empty
   // group; what it must NEVER do is answer authoritatively with itself.
@@ -316,7 +316,7 @@ TEST_F(RouterFixture, NoPredecessorAndNothingCloserAnswersTheOriginEmpty) {
   EXPECT_EQ(world->h().results[0].destination(), node(5).addr);
   EXPECT_TRUE(world->h().results[0].view.members.empty());
   // As the origin, it answers its own client port empty.
-  world->h().lookup(10, (45ull << 48), 3);
+  world->h().lookup(10, (45ull << 48));
   step();
   EXPECT_TRUE(world->h().forwarded.empty());
   ASSERT_EQ(world->h().responses.size(), 1u);
@@ -330,13 +330,13 @@ TEST_F(RouterFixture, FreshOriginLookupPicksAmongTheThreeClosestPrecedingEntries
   step();
   // Key 25: the successor-side hop is node 30; a fresh (retry) lookup
   // instead leaves through one of 20, 15 and 10 at random.
-  world->h().lookup(1, (25ull << 48), 3);
+  world->h().lookup(1, (25ull << 48));
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
   EXPECT_EQ(world->h().forwarded[0].destination(), node(30).addr);
   std::set<std::uint32_t> picked;
   for (OpId op = 2; op < 62; ++op) {
-    world->h().lookup(op, (25ull << 48), 3, /*fresh=*/true);
+    world->h().lookup(op, (25ull << 48), /*fresh=*/true);
     step();
     ASSERT_EQ(world->h().forwarded.size(), static_cast<std::size_t>(op));
     const Address dest = world->h().forwarded.back().destination();
@@ -352,7 +352,7 @@ TEST_F(RouterFixture, LookupResultFeedsTableAndAnswersPort) {
   step();
   // Start a relayed lookup: the relay frame parks awaiting the correlated
   // LookupResultMsg (op 99), having forwarded along the ring.
-  world->h().lookup(99, (25ull << 48), 3);
+  world->h().lookup(99, (25ull << 48));
   step();
   ASSERT_EQ(world->h().forwarded.size(), 1u);
   const std::size_t before = world->r().table_size();
@@ -395,7 +395,7 @@ GroupView remote_view(std::uint64_t version) {
 void relay_one(RouterFixture& f, OpId op, RingKey key, GroupView view) {
   auto& h = f.world->h();
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(op, key, 3);
+  h.lookup(op, key);
   f.step();
   ASSERT_EQ(h.forwarded.size(), forwarded + 1) << "a cache miss is routed";
   const Address head = view.members.front().addr;
@@ -425,7 +425,7 @@ TEST_F(ViewCacheFixture, SameRangeIsAnsweredLocallyOtherRangesAreRouted) {
   relay_one(*this, 1, kInRange, remote_view(5));
   auto& h = world->h();
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(2, kAlsoInRange, 3);
+  h.lookup(2, kAlsoInRange);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded) << "a cached range needs no RouteLookupMsg";
   ASSERT_EQ(h.responses.size(), 2u);
@@ -434,7 +434,7 @@ TEST_F(ViewCacheFixture, SameRangeIsAnsweredLocallyOtherRangesAreRouted) {
   EXPECT_EQ(h.responses[1].view_version, 5u);
   EXPECT_EQ(h.responses[1].group[0].key, node(30).key);
 
-  h.lookup(3, kOutOfRange, 3);
+  h.lookup(3, kOutOfRange);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "a key outside the range is still routed";
   EXPECT_EQ(h.responses.size(), 2u);
@@ -444,7 +444,7 @@ TEST_F(ViewCacheFixture, FreshLookupEvictsTheEntryAndRoutes) {
   relay_one(*this, 1, kInRange, remote_view(5));
   auto& h = world->h();
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(2, kAlsoInRange, 3, /*fresh=*/true);
+  h.lookup(2, kAlsoInRange, /*fresh=*/true);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "fresh bypasses the cache";
   EXPECT_EQ(h.responses.size(), 1u) << "not answered from the cache";
@@ -454,7 +454,7 @@ TEST_F(ViewCacheFixture, FreshLookupEvictsTheEntryAndRoutes) {
   step();
   ASSERT_EQ(h.responses.size(), 2u);
   EXPECT_EQ(h.responses[1].view_version, 6u);
-  h.lookup(3, kInRange, 3);
+  h.lookup(3, kInRange);
   step();
   ASSERT_EQ(h.responses.size(), 3u);
   EXPECT_EQ(h.responses[2].view_version, 6u);
@@ -470,7 +470,7 @@ TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
   ASSERT_EQ(h.responses.size(), 2u);
   EXPECT_EQ(h.responses[1].view_version, 3u);
   EXPECT_EQ(world->r().learned_size(), 1u);
-  h.lookup(3, kAlsoInRange, 3);
+  h.lookup(3, kAlsoInRange);
   step();
   ASSERT_EQ(h.responses.size(), 3u);
   EXPECT_EQ(h.responses[2].view_version, 5u) << "the higher version still answers";
@@ -480,7 +480,7 @@ TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
   const GroupView merged{node(10).key, node(35).key, 9, {node(35), node(38), node(40)}};
   relay_one(*this, 4, kOutOfRange, merged);
   EXPECT_EQ(world->r().learned_size(), 1u);
-  h.lookup(5, kAlsoInRange, 3);
+  h.lookup(5, kAlsoInRange);
   step();
   ASSERT_EQ(h.responses.size(), 5u);
   EXPECT_EQ(h.responses[4].view_version, 9u);
@@ -492,7 +492,7 @@ TEST_F(ViewCacheFixture, EntriesExpireAfterTheTtl) {
   sim.run_until(sim.now() + OneHopRouter::kEntryTtlMs + 1000);
   auto& h = world->h();
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(2, kAlsoInRange, 3);
+  h.lookup(2, kAlsoInRange);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "an expired entry is not used";
   EXPECT_EQ(h.responses.size(), 1u);
@@ -506,7 +506,7 @@ TEST_F(ViewCacheFixture, UnversionedAnswersAreNotCached) {
   EXPECT_EQ(h.responses[0].view_version, 0u);
   EXPECT_EQ(world->r().learned_size(), 0u);
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(2, kAlsoInRange, 3);
+  h.lookup(2, kAlsoInRange);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded + 1);
 }
@@ -529,7 +529,7 @@ TEST_F(StaleViewBugFixture, BugEmulationBypassesTheCache) {
   ASSERT_EQ(h.responses.size(), 1u);
   EXPECT_EQ(world->r().learned_size(), 0u);
   const std::size_t forwarded = h.forwarded.size();
-  h.lookup(2, kAlsoInRange, 3);
+  h.lookup(2, kAlsoInRange);
   step();
   EXPECT_EQ(h.forwarded.size(), forwarded + 1) << "every lookup is routed";
 }

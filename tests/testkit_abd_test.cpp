@@ -61,7 +61,7 @@ struct AbdDslTest : ::testing::Test {
 };
 
 TEST_F(AbdDslTest, PutRunsReadThenWritePhaseAndAcksAtQuorum) {
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   std::vector<AbdWriteMsg> writes;
 
@@ -98,7 +98,7 @@ TEST_F(AbdDslTest, PutRunsReadThenWritePhaseAndAcksAtQuorum) {
 }
 
 TEST_F(AbdDslTest, GetImposesMaxValueBeforeResponding) {
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   std::vector<AbdWriteMsg> writes;
 
@@ -136,7 +136,7 @@ TEST_F(AbdDslTest, GetImposesMaxValueBeforeResponding) {
 }
 
 TEST_F(AbdDslTest, GetWithAgreeingQuorumAnswersWithoutWriteBack) {
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
 
   ctx->trigger(putget, make_event<GetRequest>(4, 7))
@@ -167,7 +167,7 @@ TEST_F(AbdDslTest, GetWithAgreeingQuorumAnswersWithoutWriteBack) {
 }
 
 TEST_F(AbdDslTest, GetWithOneMissingReplicaStillImposes) {
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   std::vector<AbdWriteMsg> writes;
 
@@ -209,7 +209,7 @@ TEST_F(AbdDslTest, ReadAgreementIsDecidedPerAttempt) {
   // acks all agree and must decide on their own.
   group.push_back(NodeRef{40, Address::node(40)});
   group.push_back(NodeRef{50, Address::node(50)});
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads0, reads1;
 
   ctx->trigger(putget, make_event<GetRequest>(6, 7))
@@ -262,8 +262,8 @@ TEST_F(AbdDslTest, UnversionedLookupAnswerIsReaskedWithinTheAttempt) {
   // re-sends the same request after the fast-retry backoff instead of
   // sitting out the attempt deadline (op_timeout_ms = 1000), and spends no
   // retry doing so.
-  LookupRequest first{0, 0, 0};
-  LookupRequest again{0, 0, 0};
+  LookupRequest first{0, 0};
+  LookupRequest again{0, 0};
   std::vector<AbdReadMsg> reads;
   TimeMs start = 0;
   TimeMs reasked = 0;
@@ -307,7 +307,7 @@ TEST_F(AbdDslTest, DuplicatedAcksFromOneReplicaDoNotCompleteQuorum) {
   // Pre-fix, quorum progress was a raw counter (++acks): duplicated
   // deliveries of one replica's ack (retransmitting transports do that)
   // could "complete" a 2-of-3 quorum with a single replica's answer.
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   std::vector<AbdWriteMsg> writes;
 

@@ -91,8 +91,8 @@ TEST_F(ReconfigDslTest, ReplicaGateNacksWrongViewsAndFencedRanges) {
 }
 
 TEST_F(ReconfigDslTest, NackMajorityTriggersFastRetryAfterBackoff) {
-  LookupRequest lookup{0, 0, 0};
-  LookupRequest retry_lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
+  LookupRequest retry_lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   TimeMs nacked_at = 0;
 
@@ -145,7 +145,7 @@ TEST_F(ReconfigDslTest, RepeatedNackMajoritiesDoubleTheBackoff) {
   // own catch-up lands. Each further fast retry of the op waits twice as
   // long, so the op's retries outlast that window instead of burning out in
   // a few fixed 50 ms steps.
-  LookupRequest lookup{0, 0, 0};
+  LookupRequest lookup{0, 0};
   std::vector<AbdReadMsg> reads;
   std::vector<TimeMs> nacked_at, asked_at;
   auto nack_majority = [&](testkit::TestContext& c) -> testkit::TestContext& {
@@ -183,6 +183,72 @@ TEST_F(ReconfigDslTest, RepeatedNackMajoritiesDoubleTheBackoff) {
     EXPECT_LT(asked_at[1] - nacked_at[1], 200);
     EXPECT_EQ(abd().counters().fast_retries, 2u);
   });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST_F(ReconfigDslTest, ProposalOvertakenByAnotherInstallIsNotResumed) {
+  // This node proposes version 12 for its range and loses the accept phase
+  // to another proposer, whose decision installs the same membership at
+  // version 12. The ring then agrees with the installed view, so nothing is
+  // left to propose. Resuming the lost proposal at version 13 would fence
+  // the range and then install its version-12 children, which changes
+  // nothing, so the range would stay fenced for good.
+  const CatsParams params;
+  const NodeRef pred{50, Address::node(50)};
+  const NodeRef a{200, Address::node(2)}, b{300, Address::node(3)};
+  const NodeRef x{400, Address::node(4)}, y{500, Address::node(5)};
+  const PortHandle ring = ctx->monitor_required<Ring>();
+  ctx->allow<ViewInstallAckMsg>(net);
+  std::vector<ViewPrepareMsg> prepares;
+  auto promise = [&](const NodeRef& from) {
+    return [&, from] {
+      const Ballot ballot = prepares.front().ballot;
+      return make_event<ViewPromiseMsg>(from.addr, self.addr, 100, 12, ballot, true, ballot,
+                                        false, Ballot{}, std::vector<GroupView>{},
+                                        std::vector<GroupView>{}, std::vector<KeyState>{});
+    };
+  };
+  auto rejected = [&](const NodeRef& from) {
+    return [&, from] {
+      return make_event<ViewAcceptedMsg>(from.addr, self.addr, 100, 12,
+                                         prepares.front().ballot, false);
+    };
+  };
+
+  ctx->trigger(net, make_event<ViewInstallMsg>(reconfigurer, self.addr, 100,
+                                               GroupView{50, 100, 11, {self, x, y}},
+                                               std::vector<KeyState>{}))
+      // The ring makes this node responsible for (50, 100] with successors
+      // a and b: the installed members x and y must be replaced.
+      .trigger(ring, make_event<RingView>(self, pred, true, std::vector<NodeRef>{a, b}, false, 1))
+      .repeat(3)
+      .expect<ViewPrepareMsg>(net, [&](const ViewPrepareMsg& m) {
+        if (m.target != 12) return false;
+        prepares.push_back(m);
+        return true;
+      })
+      .end_repeat()
+      .trigger(net, promise(x))
+      .trigger(net, promise(y))
+      .repeat(3)
+      .expect<ViewAcceptMsg>(net)
+      .end_repeat()
+      .trigger(net, rejected(x))
+      .trigger(net, rejected(y))
+      .trigger(net, make_event<ViewInstallMsg>(x.addr, self.addr, 100,
+                                               GroupView{50, 100, 12, {self, a, b}},
+                                               std::vector<KeyState>{}))
+      // The next ring view re-evaluates the range: it matches the ring.
+      .trigger(ring, make_event<RingView>(self, pred, true, std::vector<NodeRef>{a, b}, false, 2))
+      .expect_silence(params.view_reconfig_period_ms)
+      .exec([&] {
+        const auto v = abd().view_covering(100);
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ(v->version, 12u);
+        EXPECT_EQ(abd().counters().view_fences, 0u);
+      });
 
   const Result result = ctx->check();
   EXPECT_TRUE(result.ok) << result.message;
