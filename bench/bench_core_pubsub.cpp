@@ -90,7 +90,8 @@ class ProtoCounter : public ComponentDefinition {
     }
   }
   protocol::Proto<void> park_forever() {
-    co_await park_.next<Tick>([](const Tick& t) { return t.n < 0; });
+    auto never = co_await park_.open<Tick>([](const Tick& t) { return t.n < 0; });
+    co_await never.next();
   }
   Positive<TickPort> in_ = require<TickPort>();
   Positive<ParkPort> park_ = require<ParkPort>();

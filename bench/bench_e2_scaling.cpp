@@ -10,12 +10,19 @@
 // reads/s grows with node count until the host's cores saturate — i.e.,
 // adding storage nodes does not collapse throughput (coordination is O(1)
 // per read regardless of system size).
+//
+// A read that fails is not a read served: every op's ok flag is counted,
+// and the program exits non-zero if any seeding put or read failed.
+// Seeding and reads start only once no view has been installed anywhere
+// for a second, so the view changes that follow the joins land in neither.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "cats/bootstrap.hpp"
@@ -84,13 +91,52 @@ class BenchMain : public ComponentDefinition {
   std::vector<Component> machines;
 };
 
+/// Views installed so far, summed over every node's ABD. The counters are
+/// plain fields written by the ABD handlers; they are read here with no
+/// client load running, when only the maintenance timers can touch them.
+std::uint64_t views_installed(BenchMain& bench) {
+  std::uint64_t views = 0;
+  for (auto& m : bench.machines) {
+    const auto& node = m.definition_as<Machine>().node.definition_as<CatsNode>();
+    views += node.abd.definition_as<ConsistentABD>().counters().views_installed;
+  }
+  return views;
+}
+
+/// Waits until no view has been installed anywhere for one second (four
+/// quiet 250 ms polls); returns the seconds waited, or -1 when the views
+/// were still changing after `timeout_s`.
+double wait_views_stable(BenchMain& bench, double timeout_s) {
+  constexpr int kQuietPolls = 4;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto elapsed = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  std::uint64_t views = views_installed(bench);
+  for (int quiet = 0; quiet < kQuietPolls;) {
+    if (elapsed() > timeout_s) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    const std::uint64_t now_views = views_installed(bench);
+    quiet = now_views == views ? quiet + 1 : 0;
+    views = now_views;
+  }
+  return elapsed();
+}
+
+struct ReadResult {
+  double reads_per_s = 0;
+  int failed = 0;
+};
+
 /// Runs `total` reads spread across all nodes' clients with `window`
-/// outstanding requests per client; returns aggregate reads/s. All shared
+/// outstanding requests per client; returns aggregate reads/s (failed reads
+/// included: each one still ends its op) and the failure count. All shared
 /// state is heap-allocated and captured by value: late callbacks from the
 /// final window must stay safe after the measurement completes.
-double run_reads(BenchMain& bench, int total, int window) {
+ReadResult run_reads(BenchMain& bench, int total, int window) {
   struct Shared {
     std::atomic<int> completed{0};
+    std::atomic<int> failed{0};
     std::atomic<int> issued{0};
     std::atomic<int> inflight{0};
     std::mutex mu;
@@ -109,7 +155,8 @@ double run_reads(BenchMain& bench, int total, int window) {
                        .definition_as<Machine>()
                        .client.definition_as<CatsClient>();
     client.get(hash_to_ring("data-" + std::to_string(my % 512)),
-               [shared, b, machine](bool, bool, const Value&) {
+               [shared, b, machine](bool ok, bool, const Value&) {
+                 if (!ok) shared->failed.fetch_add(1);
                  shared->completed.fetch_add(1);
                  shared->inflight.fetch_sub(1);
                  shared->issue(b, machine);
@@ -129,7 +176,7 @@ double run_reads(BenchMain& bench, int total, int window) {
     shared->cv.wait(lock, [&] { return shared->inflight.load() == 0; });
   }
   shared->issue = nullptr;  // break the self-reference cycle
-  return total / dt;
+  return {total / dt, shared->failed.load()};
 }
 
 }  // namespace
@@ -137,9 +184,11 @@ double run_reads(BenchMain& bench, int total, int window) {
 int main(int argc, char** argv) {
   const int reads_per_point = argc > 1 ? std::atoi(argv[1]) : 8000;
   std::printf("=== E2: read-intensive scaling, 1 KB values (reads/s vs node count) ===\n");
-  std::printf("%8s %14s %16s\n", "Nodes", "Reads/s", "vs previous");
+  std::printf("%8s %14s %16s %13s %12s %10s\n", "Nodes", "Reads/s", "vs previous",
+              "Failed gets", "Failed puts", "Settle s");
 
   double prev = 0;
+  long failures = 0;
   for (int n : {3, 6, 12, 24, 48, 96}) {
     auto runtime = Runtime::threaded();
     auto main_c = runtime->bootstrap<BenchMain>(n);
@@ -152,20 +201,29 @@ int main(int argc, char** argv) {
       }
       if (ready == n) break;
     }
+    const double settle_s = wait_views_stable(bench, 300);
     // Seed 512 keys of 1 KB.
     auto& seeder =
         bench.machines[0].definition_as<Machine>().client.definition_as<CatsClient>();
     std::atomic<int> seeded{0};
+    std::atomic<int> seed_failed{0};
     for (int k = 0; k < 512; ++k) {
-      seeder.put(hash_to_ring("data-" + std::to_string(k)), Value(1024, 0x11),
-                 [&](bool) { seeded.fetch_add(1); });
+      seeder.put(hash_to_ring("data-" + std::to_string(k)), Value(1024, 0x11), [&](bool ok) {
+        if (!ok) seed_failed.fetch_add(1);
+        seeded.fetch_add(1);
+      });
     }
     while (seeded.load() < 512) std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
-    run_reads(bench, reads_per_point / 4, 4);  // warm-up
-    const double rps = run_reads(bench, reads_per_point, 8);
-    std::printf("%8d %14.0f %15.2fx\n", n, rps, prev > 0 ? rps / prev : 1.0);
+    const int warm_failed = run_reads(bench, reads_per_point / 4, 4).failed;
+    const ReadResult measured = run_reads(bench, reads_per_point, 8);
+    const int get_failed = warm_failed + measured.failed;
+    const double rps = measured.reads_per_s;
+    std::printf("%8d %14.0f %15.2fx %13d %12d %10.1f%s\n", n, rps,
+                prev > 0 ? rps / prev : 1.0, get_failed, seed_failed.load(), settle_s,
+                settle_s < 0 ? "  (views still changing after 300 s)" : "");
     std::fflush(stdout);
+    failures += get_failed + seed_failed.load();
     prev = rps;
     runtime->shutdown();
   }
@@ -174,5 +232,11 @@ int main(int argc, char** argv) {
               "host's cores: with many cores throughput grows until they saturate; on\n"
               "few cores it stays bounded while per-node maintenance grows, so the\n"
               "meaningful check is graceful degradation (no collapse) out to 96 nodes.\n");
+  if (failures > 0) {
+    std::printf("\nFAIL: %ld operation(s) failed (Failed gets counts warm-up and measured "
+                "reads)\n",
+                failures);
+    return 1;
+  }
   return 0;
 }

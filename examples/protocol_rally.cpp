@@ -55,15 +55,16 @@ class Pinger : public ComponentDefinition {
   }
 
  private:
-  // The whole rally, straight-line. Each lap: trigger a Ball, suspend until
-  // the echo with the matching bounce comes back — or a 1 s deadline fires.
-  // Suspension parks the frame inside the component (a worker is never
-  // blocked); the echo resumes it as an ordinary work item.
+  // The whole rally, straight-line. The stream of returned balls is opened
+  // once, before the first serve. Each lap: trigger a Ball, suspend until
+  // its echo comes back on the stream — or a 1 s deadline fires. Suspension
+  // parks the frame inside the component (a worker is never blocked); the
+  // echo resumes it as an ordinary work item.
   protocol::Proto<void> rally(int rounds) {
+    auto returns = co_await port_.open<Ball>();
     for (int i = 1; i <= rounds; ++i) {
-      auto r = co_await protocol::when_any(
-          port_.request<Ball>(Ball(i), [i](const Ball& b) { return b.bounce == i; }),
-          protocol::sleep(timer_, 1000));
+      trigger(make_event<Ball>(i), port_);
+      auto r = co_await protocol::when_any(returns.next(), protocol::sleep(timer_, 1000));
       if (r.index() == 1) {
         std::printf("lost the ball at bounce %d\n", i);
         co_return;

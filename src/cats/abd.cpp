@@ -228,8 +228,8 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
       continue;
     }
     const LookupResponse& resp = *std::get<0>(got);
-    if (resp.group.empty() ||
-        (resp.view_version == 0 && !params_.inject_stale_view_bug)) {
+    if (resp.view.members.empty() ||
+        (resp.view.version == 0 && !params_.inject_stale_view_bug)) {
       // Ring not converged around the key, or the responsible node has no
       // installed view yet. Ask again after a short backoff rather than
       // sitting out the attempt deadline: both usually clear within one
@@ -243,9 +243,8 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
       }
       continue;
     }
-    op.group = resp.group;
-    op.view = resp.view_version;
-    op.quorum = op.group.size() / 2 + 1;
+    op.view = resp.view;
+    op.quorum = op.view.members.size() / 2 + 1;
     co_return true;
   }
 }
@@ -299,8 +298,9 @@ protocol::Proto<bool> ConsistentABD::read_round(OpId internal,
   return quorum_round<AbdReadAckMsg>(
       internal, deadline, Phase::kRead,
       [this, &op](OpId wid) {
-        for (const auto& n : op.group) {
-          trigger(make_event<AbdReadMsg>(self_.addr, n.addr, wid, op.key, op.view), network_);
+        for (const auto& n : op.view.members) {
+          trigger(make_event<AbdReadMsg>(self_.addr, n.addr, wid, op.key, op.view.version),
+                  network_);
         }
       },
       [&op](const AbdReadAckMsg& ack) {
@@ -337,8 +337,8 @@ protocol::Proto<bool> ConsistentABD::write_round(OpId internal,
   return quorum_round<AbdWriteAckMsg>(
       internal, deadline, Phase::kWrite,
       [this, &op, tag, exists, &value](OpId wid) {
-        for (const auto& n : op.group) {
-          trigger(make_event<AbdWriteMsg>(self_.addr, n.addr, wid, op.key, op.view, tag,
+        for (const auto& n : op.view.members) {
+          trigger(make_event<AbdWriteMsg>(self_.addr, n.addr, wid, op.key, op.view.version, tag,
                                           exists, value),
                   network_);
         }
@@ -348,7 +348,7 @@ protocol::Proto<bool> ConsistentABD::write_round(OpId internal,
 
 bool ConsistentABD::count_ack(OpId internal, Op& op, const Address& source,
                               std::uint64_t ack_view) {
-  if (ack_view != op.view) {
+  if (ack_view != op.view.version) {
     if (!params_.inject_stale_view_bug) {
       ++counters_.stale_view_acks_dropped;
       return false;
@@ -359,10 +359,8 @@ bool ConsistentABD::count_ack(OpId internal, Op& op, const Address& source,
 }
 
 bool ConsistentABD::count_nack(Op& op, const Address& source) {
-  const bool member = std::any_of(op.group.begin(), op.group.end(),
-                                  [&](const NodeRef& n) { return n.addr == source; });
-  if (!member || !note_address(op.nacked, source)) return false;
-  return op.group.size() - op.nacked.size() < op.quorum;
+  if (!op.view.has_member(source) || !note_address(op.nacked, source)) return false;
+  return op.view.members.size() - op.nacked.size() < op.quorum;
 }
 
 void ConsistentABD::complete_op(Op& op, bool ok) {
@@ -395,7 +393,7 @@ void ConsistentABD::note_mixed_view_ack(OpId internal, const Op& op, std::uint64
   recorded_violations_.push_back(
       "abd: op " + std::to_string(internal) + " (key " + std::to_string(op.key) +
       ") counted an ack under view v" + std::to_string(ack_view) +
-      " but was coordinated under v" + std::to_string(op.view) +
+      " but was coordinated under v" + std::to_string(op.view.version) +
       " — quorum mixes replica views");
 }
 
@@ -417,14 +415,15 @@ std::vector<std::string> ConsistentABD::invariant_violations() const {
   // No in-flight op may hold more (deduplicated) acks than its group has
   // members, and its quorum must be a majority of that group.
   for (const auto& [id, op] : ops_) {
-    if (!op.group.empty() && op.acked.size() > op.group.size()) {
+    if (!op.view.members.empty() && op.acked.size() > op.view.members.size()) {
       out.push_back("abd: op " + std::to_string(id) + " holds " +
                     std::to_string(op.acked.size()) + " acks from a group of " +
-                    std::to_string(op.group.size()));
+                    std::to_string(op.view.members.size()));
     }
-    if (!op.group.empty() && op.quorum != op.group.size() / 2 + 1) {
+    if (!op.view.members.empty() && op.quorum != op.view.members.size() / 2 + 1) {
       out.push_back("abd: op " + std::to_string(id) + " quorum " + std::to_string(op.quorum) +
-                    " is not a majority of its group of " + std::to_string(op.group.size()));
+                    " is not a majority of its group of " +
+                    std::to_string(op.view.members.size()));
     }
   }
   // Ops and coroutine frames must pair exactly: an op parked in a suspended

@@ -118,8 +118,7 @@ class ConsistentABD : public ComponentDefinition {
     OpId client_id = 0;  // id from the PutGet request
     RingKey key = 0;
     Value put_value;
-    std::vector<NodeRef> group;
-    std::uint64_t view = 0;  ///< view version the group was resolved under
+    GroupView view;  ///< the replica group the op was resolved under, with its version
     std::size_t quorum = 0;
     // Ack/nack sources for the current phase of the current attempt:
     // duplicated deliveries must not double-count toward the quorum.

@@ -192,53 +192,6 @@ class Ring : public PortType {
 // Router (One-Hop Router: key -> replication group)
 // ---------------------------------------------------------------------------
 
-class LookupRequest : public Event {
-  KOMPICS_EVENT(LookupRequest, Event);
-
- public:
-  LookupRequest(OpId id, RingKey key, bool fresh = false) : id(id), key(key), fresh(fresh) {}
-  OpId id;
-  RingKey key;
-  /// Bypass (and evict) the router's learned view for the key's range and
-  /// route to the responsible node, leaving through a random entry that
-  /// precedes the key. Retries set it: the cached view, or a dead successor
-  /// entry, may be what made the previous attempt fail.
-  bool fresh;
-};
-
-class LookupResponse : public Event {
-  KOMPICS_EVENT(LookupResponse, Event);
-
- public:
-  LookupResponse(OpId id, RingKey key, std::vector<NodeRef> group,
-                 std::uint64_t view_version = 0)
-      : id(id), key(key), group(std::move(group)), view_version(view_version) {}
-  OpId id;
-  RingKey key;
-  std::vector<NodeRef> group;  ///< responsible node first, then its successors
-  /// Version of the consistent-quorum view the group was taken from. ABD
-  /// operations stamp it on every phase message; replicas reject stale
-  /// versions. 0 => no installed view backs this answer (empty group).
-  std::uint64_t view_version;
-};
-
-class Router : public PortType {
- public:
-  Router() {
-    set_name("Router");
-    request<LookupRequest>();
-    indication<LookupResponse>();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// QuorumViews (consistent quorums, CATS tech report [11]): versioned replica
-// groups per key range. The ABD layer owns view installation (it runs the
-// reconfiguration consensus) and publishes every installed view; the router
-// answers lookups from the installed views so operations always carry the
-// view version their replica group was read under.
-// ---------------------------------------------------------------------------
-
 /// A versioned replica group for the ring range (lo, hi]. lo == hi means the
 /// full ring (genesis view of a lone ring). members[0] is the primary (the
 /// ring node responsible for the range).
@@ -259,6 +212,52 @@ struct GroupView {
     return false;
   }
 };
+
+class LookupRequest : public Event {
+  KOMPICS_EVENT(LookupRequest, Event);
+
+ public:
+  LookupRequest(OpId id, RingKey key, bool fresh = false) : id(id), key(key), fresh(fresh) {}
+  OpId id;
+  RingKey key;
+  /// Bypass (and evict) the router's learned view for the key's range and
+  /// route to the responsible node, leaving through a random entry that
+  /// precedes the key. Retries set it: the cached view, or a dead successor
+  /// entry, may be what made the previous attempt fail.
+  bool fresh;
+};
+
+class LookupResponse : public Event {
+  KOMPICS_EVENT(LookupResponse, Event);
+
+ public:
+  LookupResponse(OpId id, RingKey key, GroupView view)
+      : id(id), key(key), view(std::move(view)) {}
+  OpId id;
+  RingKey key;
+  /// The key's replica group: members are the responsible node first, then
+  /// its successors. ABD operations stamp view.version on every phase
+  /// message; replicas reject stale versions. Version 0 => no installed
+  /// view backs this answer (empty members, or the ring successors).
+  GroupView view;
+};
+
+class Router : public PortType {
+ public:
+  Router() {
+    set_name("Router");
+    request<LookupRequest>();
+    indication<LookupResponse>();
+  }
+};
+
+// ---------------------------------------------------------------------------
+// QuorumViews (consistent quorums, CATS tech report [11]): versioned replica
+// groups per key range. The ABD layer owns view installation (it runs the
+// reconfiguration consensus) and publishes every installed view; the router
+// answers lookups from the installed views so operations always carry the
+// view version their replica group was read under.
+// ---------------------------------------------------------------------------
 
 /// Indication that a view was installed locally (new range, new version, or
 /// a catch-up copy fetched from a peer).

@@ -48,8 +48,7 @@ OneHopRouter::OneHopRouter() {
       // fresh; the cache only lengthens a staleness the asynchronous model
       // already allows.
       ++counters_.lookups_cached;
-      const GroupView& v = hit->second.view;
-      trigger(make_event<LookupResponse>(req.id, req.key, v.members, v.version), router_);
+      trigger(make_event<LookupResponse>(req.id, req.key, hit->second.view), router_);
       return;
     }
     protocol::spawn(relay_lookup(req.id, req.key, req.fresh));
@@ -113,8 +112,7 @@ protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, bool fres
       supersede(learned_, msg.view, now())) {
     ++counters_.views_learned;
   }
-  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.view.members, msg.view.version),
-          router_);
+  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.view), router_);
 }
 
 void OneHopRouter::learn(const NodeRef& n) {
@@ -282,7 +280,7 @@ bool OneHopRouter::forward(const NodeRef& origin, OpId op, RingKey key, std::uin
 
 void OneHopRouter::answer(const NodeRef& origin, OpId op, RingKey key, GroupView view) {
   if (origin.addr == self_.addr) {
-    trigger(make_event<LookupResponse>(op, key, std::move(view.members), view.version), router_);
+    trigger(make_event<LookupResponse>(op, key, std::move(view)), router_);
   } else {
     trigger(make_event<LookupResultMsg>(self_.addr, origin.addr, op, key, std::move(view)),
             network_);

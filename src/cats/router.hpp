@@ -139,7 +139,7 @@ class OneHopRouter : public ComponentDefinition {
   // lookup this node is responsible for is answered from the covering view
   // (members + version) when one exists: those are the only groups replicas
   // will acknowledge phases for. Without one, the ring-successor group is
-  // answered with view_version 0, which tells the coordinator that no view
+  // answered with version 0, which tells the coordinator that no view
   // backs the range yet: it must not run quorum phases under it, and
   // re-asks (abd.cpp).
   ViewMap views_;

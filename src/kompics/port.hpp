@@ -181,21 +181,13 @@ struct PortPair {
 /// require<PT>(), and the handle the environment gets for a child's
 /// *provided* port. Negative<PT> is the dual.
 ///
-/// The next/request/open member templates build coroutine-protocol
-/// descriptors (protocol_desc.hpp); they are only awaitable inside a
-/// Proto<> coroutine with protocol.hpp included.
+/// The open member template builds the coroutine-protocol stream descriptor
+/// (protocol_desc.hpp); it is only awaitable inside a Proto<> coroutine
+/// with protocol.hpp included.
 template <class PT>
 struct Positive {
   PortCore* core = nullptr;
 
-  template <class E, class Pred = protocol::AcceptAll>
-  protocol::NextDesc<E, Pred> next(Pred pred = {}) const {
-    return {core, std::move(pred)};
-  }
-  template <class Resp, class Req, class Pred = protocol::AcceptAll>
-  protocol::RequestDesc<Resp, Req, Pred> request(Req req, Pred pred = {}) const {
-    return {core, std::move(req), std::move(pred)};
-  }
   template <class E, class Pred = protocol::AcceptAll>
   protocol::OpenDesc<E, Pred> open(Pred pred = {}) const {
     return {core, std::move(pred)};
@@ -206,14 +198,6 @@ template <class PT>
 struct Negative {
   PortCore* core = nullptr;
 
-  template <class E, class Pred = protocol::AcceptAll>
-  protocol::NextDesc<E, Pred> next(Pred pred = {}) const {
-    return {core, std::move(pred)};
-  }
-  template <class Resp, class Req, class Pred = protocol::AcceptAll>
-  protocol::RequestDesc<Resp, Req, Pred> request(Req req, Pred pred = {}) const {
-    return {core, std::move(req), std::move(pred)};
-  }
   template <class E, class Pred = protocol::AcceptAll>
   protocol::OpenDesc<E, Pred> open(Pred pred = {}) const {
     return {core, std::move(pred)};

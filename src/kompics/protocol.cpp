@@ -4,6 +4,14 @@
 
 namespace kompics::protocol {
 
+namespace {
+
+void cancel_timeout(PortCore* timer_half, timing::TimeoutId id) {
+  timer_half->trigger(std::make_shared<const timing::CancelTimeout>(id));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // FrameControl — the cancellation registry
 // ---------------------------------------------------------------------------
@@ -118,7 +126,7 @@ void Runner::cancel_all() noexcept {
     }
     for (auto& t : timers) {
       try {
-        t.timer_half->trigger(std::make_shared<const timing::CancelTimeout>(t.id));
+        cancel_timeout(t.timer_half, t.id);
       } catch (...) {
         // A torn-down timer channel is acceptable during shutdown.
       }
@@ -189,7 +197,7 @@ void Runner::finish(const FramePtr& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Arms / awaiters (non-template pieces)
+// Awaiters and armed timers (non-template pieces)
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -216,67 +224,38 @@ void release_state_sub(StreamStateBase& st) {
   st.waiter = nullptr;
 }
 
-void SleepArm::attach(AwaitCtx cx, MultiAwaiterBase* owner, std::size_t index) {
-  cx_ = cx;
-  auto req = timing::schedule<ProtoTimeout>(delay_ms_);
-  id_ = req->timeout_id();
-  sub_ = cx.runner->subscribe_event<ProtoTimeout>(
-      half_, [this, owner, index](const ProtoTimeout& t) {
-        if (fired_ || t.id() != id_) return;
-        fired_ = true;
-        owner->arm_fired(index);
-      });
-  cx.ctl->add_sub(sub_);
-  half_->trigger(req);
-  if (!cx_.ctl->add_timer(half_, id_)) {
+}  // namespace detail
+
+ArmedTimer::ArmedTimer(detail::AwaitCtx cx, PortCore* timer_half, std::int64_t delay_ms)
+    : state_(std::make_unique<detail::ArmedTimerState>()) {
+  detail::ArmedTimerState* s = state_.get();
+  s->ctl = cx.ctl;
+  s->runner = cx.runner;
+  s->timer_half = timer_half;
+  auto req = timing::schedule<ProtoTimeout>(delay_ms);
+  s->id = req->timeout_id();
+  s->sub = cx.runner->subscribe_event<ProtoTimeout>(timer_half, [s](const ProtoTimeout& t) {
+    if (s->fired || t.id() != s->id) return;
+    s->fired = true;
+    detail::notify_state(*s);
+  });
+  cx.ctl->add_sub(s->sub);
+  timer_half->trigger(req);
+  if (!cx.ctl->add_timer(timer_half, s->id)) {
     // Frame cancelled between scheduling and registration: revoke here
     // (ThreadTimer tolerates a cancel racing its schedule).
-    half_->trigger(std::make_shared<const timing::CancelTimeout>(id_));
+    cancel_timeout(timer_half, s->id);
   }
 }
-
-void SleepArm::detach() {
-  if (sub_ == nullptr) return;
-  if (cx_.ctl->drop_sub(sub_)) half_->remove_subscription(sub_);
-  sub_ = nullptr;
-  bool registered = cx_.ctl->drop_timer(id_);
-  if (registered && !fired_ && !cx_.runner->tearing_down()) {
-    // A losing when_any arm must not leave its timeout armed (the PR 1
-    // ThreadTimer-leak class): cancel through the Timer port.
-    half_->trigger(std::make_shared<const timing::CancelTimeout>(id_));
-  }
-}
-
-ArmedTimer ArmTimerAwaiter::await_resume() {
-  auto st = std::make_unique<ArmedTimerState>();
-  st->ctl = cx_.ctl;
-  st->runner = cx_.runner;
-  st->timer_half = d_.timer_half;
-  auto req = timing::schedule<ProtoTimeout>(d_.delay_ms);
-  st->id = req->timeout_id();
-  ArmedTimerState* s = st.get();
-  s->sub = cx_.runner->subscribe_event<ProtoTimeout>(
-      d_.timer_half, [s](const ProtoTimeout& t) {
-        if (s->fired || t.id() != s->id) return;
-        s->fired = true;
-        notify_state(*s);
-      });
-  cx_.ctl->add_sub(s->sub);
-  d_.timer_half->trigger(req);
-  if (!cx_.ctl->add_timer(d_.timer_half, s->id)) {
-    d_.timer_half->trigger(std::make_shared<const timing::CancelTimeout>(s->id));
-  }
-  return ArmedTimer(std::move(st));
-}
-
-}  // namespace detail
 
 void ArmedTimer::cancel() {
   if (state_ == nullptr) return;
   detail::release_state_sub(*state_);
   bool registered = state_->ctl->drop_timer(state_->id);
   if (registered && !state_->fired && !state_->runner->tearing_down()) {
-    state_->timer_half->trigger(std::make_shared<const timing::CancelTimeout>(state_->id));
+    // An unfired timeout must not stay armed (the ThreadTimer-leak class):
+    // cancel it through the Timer port.
+    cancel_timeout(state_->timer_half, state_->id);
   }
   state_.reset();
 }

@@ -6,15 +6,15 @@
 // callback state machines:
 //
 //   Proto<void> MyComponent::fetch(Key k) {
-//     auto resp = co_await when_any(
-//         net_.request<LookupResponse>(LookupRequest(id, k),
-//                                      [id](const LookupResponse& r) { return r.id == id; }),
-//         sleep(timer_, 200));
-//     if (resp.index() == 1) co_return;            // timed out
+//     auto answers = co_await net_.open<LookupResponse>(
+//         [id](const LookupResponse& r) { return r.id == id; });
+//     trigger(make_event<LookupRequest>(id, k), net_);  // after the open
+//     auto resp = co_await when_any(answers.next(), sleep(timer_, 200));
+//     if (resp.index() == 1) co_return;                 // timed out
 //     use(*std::get<0>(resp));
 //   }
 //   ...
-//   protocol::spawn(fetch(k));                     // from any handler
+//   protocol::spawn(fetch(k));                          // from any handler
 //
 // Execution model — nothing about §3/§6 changes:
 //   * Awaiting NEVER blocks a worker. A co_await parks the coroutine frame
@@ -33,17 +33,22 @@
 //     are still attached, pending subscriptions are deactivated, and the
 //     suspended frames are destroyed with the definition (never resumed).
 //
-// Primitives (all awaitable only inside a Proto<> coroutine):
-//   port.next<E>(pred)          one-shot: next matching E (not buffered)
-//   port.request<Resp>(req, p)  subscribe, trigger req, await the response
-//   port.open<E>(pred)          -> Stream<E>: subscribes now, buffers every
-//                               match; co_await s.next() pops (the quorum
-//                               primitive — no event lost between a fire
-//                               and the frame's resumption)
-//   sleep(timer, ms)            one timeout on the Timer port
-//   arm_timer(timer, ms)        -> ArmedTimer: a deadline shared by many
-//                               awaits (co_await t.wait() as a when_any arm)
-//   when_any(d...), when_all(d...)   quorum-style fan-out combinators
+// Primitives (all awaitable only inside a Proto<> coroutine) — one way to
+// await events, one way to await time:
+//   port.open<E>(pred)     -> Stream<E>: subscribes now, buffers every
+//                          match; co_await s.next() pops. A correlated
+//                          reply is one more event on a stream: open it,
+//                          then trigger the request, then await next()
+//   arm_timer(timer, ms)   -> ArmedTimer: one timeout on the Timer port,
+//                          shared by many awaits (co_await t.wait());
+//                          dropping it cancels the timeout
+//   sleep(timer, ms)       an ArmedTimer private to one await: armed when
+//                          the await suspends, dropped when it resumes
+//   when_any(d...)         the first of several awaits; the rest detach
+//
+// Only Stream<E> and ArmedTimer subscribe to a port: every event or time
+// await parks on the state of one of them (a nested Proto<T> parks on its
+// child frame).
 //
 // A Proto coroutine must be a non-static member of a ComponentDefinition
 // subclass (or take one as its first parameter): the promise binds the
@@ -116,7 +121,7 @@ class ProtocolPort : public PortType {
   }
 };
 
-/// Result type of an elapsed sleep/deadline arm inside when_any/when_all.
+/// Result type of an elapsed sleep/deadline arm inside when_any.
 struct Elapsed {};
 
 /// Per-top-level-frame control block. Shared between the Runner (live
@@ -212,11 +217,11 @@ class Runner final : public ProtocolHost {
 };
 
 // ---------------------------------------------------------------------------
-// Descriptors local to this header (the port-handle ones live in
-// protocol_desc.hpp so port.hpp can build them).
+// Descriptors local to this header (the port-handle one lives in
+// protocol_desc.hpp so port.hpp can build it).
 // ---------------------------------------------------------------------------
 
-/// co_await sleep(timer_, ms): one timeout scheduled on the Timer port.
+/// co_await sleep(timer_, ms): suspend until one timeout on the Timer port.
 struct SleepDesc {
   PortCore* timer_half = nullptr;
   std::int64_t delay_ms = 0;
@@ -243,6 +248,11 @@ ArmTimerDesc arm_timer(Positive<PT> timer, std::int64_t delay_ms) {
 
 namespace detail {
 
+struct AwaitCtx {
+  Runner* runner = nullptr;
+  FrameControl* ctl = nullptr;
+};
+
 struct StreamStateBase {
   MultiAwaiterBase* waiter = nullptr;
   std::size_t waiter_index = 0;
@@ -253,8 +263,10 @@ struct StreamStateBase {
 
 template <class E>
 struct StreamState : StreamStateBase {
+  /// Buffered events beyond this are dropped (lossy-network semantics): a
+  /// flood of network input cannot grow a parked frame without bound.
+  static constexpr std::size_t kCapacity = 4096;
   std::deque<std::shared_ptr<const E>> buf;
-  std::size_t capacity = 4096;
   std::uint64_t dropped = 0;
 };
 
@@ -325,7 +337,11 @@ class Stream {
 class ArmedTimer {
  public:
   ArmedTimer() = default;
-  explicit ArmedTimer(std::unique_ptr<detail::ArmedTimerState> s) : state_(std::move(s)) {}
+  /// Arms one ProtoTimeout of `delay_ms` on `timer_half` for the frame of
+  /// `cx`: subscribes for it, schedules it, and registers it with the
+  /// frame's FrameControl so destroy-time cancel_all() can revoke it. The
+  /// one place a protocol timeout is armed (arm_timer and sleep both).
+  ArmedTimer(detail::AwaitCtx cx, PortCore* timer_half, std::int64_t delay_ms);
   ArmedTimer(ArmedTimer&&) noexcept = default;
   ArmedTimer& operator=(ArmedTimer&& o) noexcept {
     if (this != &o) {
@@ -356,11 +372,6 @@ class ArmedTimer {
 
 namespace detail {
 
-struct AwaitCtx {
-  Runner* runner = nullptr;
-  FrameControl* ctl = nullptr;
-};
-
 inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
 
 class MultiAwaiterBase {
@@ -368,179 +379,97 @@ class MultiAwaiterBase {
   FrameControl* ctl = nullptr;
   std::coroutine_handle<> leaf{};
   std::size_t winner = kNoWinner;
-  std::size_t unfired = 0;  // when_all countdown
-  bool all_mode = false;
   bool posted = false;
 
   void arm_fired(std::size_t index) {
-    if (all_mode) {
-      if (unfired > 0 && --unfired == 0) post();
-    } else if (winner == kNoWinner) {
-      winner = index;
-      post();
-    }
+    if (winner != kNoWinner) return;
+    winner = index;
+    post();
   }
 
  private:
   void post();
 };
 
-template <class E, class Pred>
-class EventArm {
+/// Parks an await on a stream's or armed timer's state; the state's
+/// subscription fires it through notify_state().
+template <class State>
+class StateArm {
  public:
-  using Result = std::shared_ptr<const E>;
+  explicit StateArm(State* s) : s_(s) {}
+  StateArm(StateArm&& o) noexcept
+      : s_(std::exchange(o.s_, nullptr)), attached_(std::exchange(o.attached_, false)) {}
+  ~StateArm() { detach(); }
 
-  EventArm(PortCore* half, Pred pred) : half_(half), pred_(std::move(pred)) {}
-  EventArm(EventArm&&) noexcept = default;
-  ~EventArm() { detach(); }
-
-  bool ready() const { return false; }
-
-  void attach(AwaitCtx cx, MultiAwaiterBase* owner, std::size_t index) {
-    cx_ = cx;
-    sub_ = cx.runner->subscribe_event<E>(
-        half_, [this, owner, index, runner = cx.runner](const E& e) {
-          if (fired_ || !pred_(e)) return;
-          fired_ = true;
-          result_ = runner->current_event_as<E>();
-          owner->arm_fired(index);
-        });
-    cx.ctl->add_sub(sub_);  // a cancelled frame already deactivated it
+  void attach(AwaitCtx, MultiAwaiterBase* owner, std::size_t index) {
+    if (s_ == nullptr) return;  // closed stream or unarmed timer: inert arm
+    s_->waiter = owner;
+    s_->waiter_index = index;
+    attached_ = true;
   }
 
-  Result take() { return std::move(result_); }
-
   void detach() {
-    if (sub_ == nullptr) return;
-    if (cx_.ctl->drop_sub(sub_)) half_->remove_subscription(sub_);
-    sub_ = nullptr;
+    if (attached_ && s_ != nullptr) s_->waiter = nullptr;
+    attached_ = false;
   }
 
  protected:
-  PortCore* half_;
-  Pred pred_;
-  AwaitCtx cx_{};
-  SubscriptionRef sub_;
-  bool fired_ = false;
-  Result result_;
-};
-
-/// EventArm that first subscribes, then triggers the request on the same
-/// half — the response cannot be dispatched before this work item returns,
-/// so the subscription is always in place when it arrives.
-template <class Resp, class Req, class Pred>
-class RequestArm : public EventArm<Resp, Pred> {
- public:
-  RequestArm(PortCore* half, Req req, Pred pred)
-      : EventArm<Resp, Pred>(half, std::move(pred)), req_(std::move(req)) {}
-
-  void attach(AwaitCtx cx, MultiAwaiterBase* owner, std::size_t index) {
-    EventArm<Resp, Pred>::attach(cx, owner, index);
-    this->half_->trigger(make_event<Req>(std::move(req_)));
-  }
-
- private:
-  Req req_;
-};
-
-class SleepArm {
- public:
-  using Result = Elapsed;
-
-  SleepArm(PortCore* timer_half, std::int64_t delay_ms)
-      : half_(timer_half), delay_ms_(delay_ms) {}
-  SleepArm(SleepArm&&) noexcept = default;
-  ~SleepArm() { detach(); }
-
-  bool ready() const { return false; }
-  void attach(AwaitCtx cx, MultiAwaiterBase* owner, std::size_t index);
-  Result take() { return {}; }
-  void detach();
-
- private:
-  PortCore* half_;
-  std::int64_t delay_ms_;
-  AwaitCtx cx_{};
-  SubscriptionRef sub_;
-  timing::TimeoutId id_ = 0;
-  bool fired_ = false;
+  State* s_;
+  bool attached_ = false;
 };
 
 template <class E>
-class StreamArm {
+class StreamArm : public StateArm<StreamState<E>> {
  public:
   using Result = std::shared_ptr<const E>;
+  using StateArm<StreamState<E>>::StateArm;
 
-  explicit StreamArm(StreamState<E>* s) : s_(s) {}
-  StreamArm(StreamArm&& o) noexcept
-      : s_(std::exchange(o.s_, nullptr)), attached_(std::exchange(o.attached_, false)) {}
-  ~StreamArm() { detach(); }
-
-  bool ready() const { return s_ != nullptr && !s_->buf.empty(); }
-
-  void attach(AwaitCtx, MultiAwaiterBase* owner, std::size_t index) {
-    if (s_ == nullptr) return;  // closed stream: inert arm
-    s_->waiter = owner;
-    s_->waiter_index = index;
-    attached_ = true;
-  }
+  bool ready() const { return this->s_ != nullptr && !this->s_->buf.empty(); }
 
   Result take() {
-    if (s_ == nullptr || s_->buf.empty()) return nullptr;
-    Result e = std::move(s_->buf.front());
-    s_->buf.pop_front();
+    if (!ready()) return nullptr;
+    Result e = std::move(this->s_->buf.front());
+    this->s_->buf.pop_front();
     return e;
   }
-
-  void detach() {
-    if (attached_ && s_ != nullptr) s_->waiter = nullptr;
-    attached_ = false;
-  }
-
- private:
-  StreamState<E>* s_;
-  bool attached_ = false;
 };
 
-class TimerWaitArm {
+class TimerWaitArm : public StateArm<ArmedTimerState> {
  public:
   using Result = Elapsed;
-
-  explicit TimerWaitArm(ArmedTimerState* s) : s_(s) {}
-  TimerWaitArm(TimerWaitArm&& o) noexcept
-      : s_(std::exchange(o.s_, nullptr)), attached_(std::exchange(o.attached_, false)) {}
-  ~TimerWaitArm() { detach(); }
+  using StateArm::StateArm;
 
   bool ready() const { return s_ != nullptr && s_->fired; }
+  Result take() { return {}; }
+};
 
-  void attach(AwaitCtx, MultiAwaiterBase* owner, std::size_t index) {
-    if (s_ == nullptr) return;  // inert (unarmed deadline)
-    s_->waiter = owner;
-    s_->waiter_index = index;
-    attached_ = true;
+/// sleep(): an ArmedTimer private to this arm, armed when the await
+/// suspends and cancelled through the Timer port when it resumes — so a
+/// losing when_any arm never leaves its timeout armed.
+class SleepArm : public TimerWaitArm {
+ public:
+  explicit SleepArm(SleepDesc d) : TimerWaitArm(nullptr), d_(d) {}
+  SleepArm(SleepArm&&) noexcept = default;
+  ~SleepArm() { detach(); }  // before timer_ frees the state s_ points into
+
+  void attach(AwaitCtx cx, MultiAwaiterBase* owner, std::size_t index) {
+    timer_ = ArmedTimer(cx, d_.timer_half, d_.delay_ms);
+    s_ = timer_.wait().state;
+    TimerWaitArm::attach(cx, owner, index);
   }
 
-  Result take() { return {}; }
-
   void detach() {
-    if (attached_ && s_ != nullptr) s_->waiter = nullptr;
-    attached_ = false;
+    TimerWaitArm::detach();
+    timer_.cancel();
+    s_ = nullptr;
   }
 
  private:
-  ArmedTimerState* s_;
-  bool attached_ = false;
+  SleepDesc d_;
+  ArmedTimer timer_;
 };
 
-template <class E, class Pred>
-EventArm<E, Pred> make_arm(NextDesc<E, Pred> d) {
-  return EventArm<E, Pred>(d.half, std::move(d.pred));
-}
-template <class Resp, class Req, class Pred>
-RequestArm<Resp, Req, Pred> make_arm(RequestDesc<Resp, Req, Pred> d) {
-  return RequestArm<Resp, Req, Pred>(d.half, std::move(d.request), std::move(d.pred));
-}
-inline SleepArm make_arm(SleepDesc d) { return SleepArm(d.timer_half, d.delay_ms); }
+inline SleepArm make_arm(SleepDesc d) { return SleepArm(d); }
 template <class E>
 StreamArm<E> make_arm(StreamNextDesc<E> d) {
   return StreamArm<E>(d.state);
@@ -577,55 +506,28 @@ class SingleAwaiter : public MultiAwaiterBase {
   Arm arm_;
 };
 
-template <bool All, class... Arms>
+template <class... Arms>
 class MultiAwaiter : public MultiAwaiterBase {
  public:
-  using Result = std::conditional_t<All, std::tuple<typename Arms::Result...>,
-                                    std::variant<typename Arms::Result...>>;
+  using Result = std::variant<typename Arms::Result...>;
 
-  MultiAwaiter(AwaitCtx cx, Arms... arms) : cx_(cx), arms_(std::move(arms)...) {
-    ctl = cx.ctl;
-    all_mode = All;
-  }
+  MultiAwaiter(AwaitCtx cx, Arms... arms) : cx_(cx), arms_(std::move(arms)...) { ctl = cx.ctl; }
 
   bool await_ready() {
-    if constexpr (All) {
-      bool all = true;
-      for_each([&](auto& a, std::size_t) { all = all && a.ready(); });
-      return all;
-    } else {
-      for_each([&](auto& a, std::size_t i) {
-        if (winner == kNoWinner && a.ready()) winner = i;
-      });
-      return winner != kNoWinner;
-    }
+    for_each([&](auto& a, std::size_t i) {
+      if (winner == kNoWinner && a.ready()) winner = i;
+    });
+    return winner != kNoWinner;
   }
 
   void await_suspend(std::coroutine_handle<> h) {
     leaf = h;
-    if constexpr (All) {
-      // Only the not-yet-ready arms still owe a fire.
-      unfired = 0;
-      for_each([&](auto& a, std::size_t) {
-        if (!a.ready()) ++unfired;
-      });
-      for_each([&](auto& a, std::size_t i) {
-        if (!a.ready()) a.attach(cx_, this, i);
-      });
-    } else {
-      for_each([&](auto& a, std::size_t i) { a.attach(cx_, this, i); });
-    }
+    for_each([&](auto& a, std::size_t i) { a.attach(cx_, this, i); });
   }
 
   Result await_resume() {
     for_each([](auto& a, std::size_t) { a.detach(); });
-    if constexpr (All) {
-      return std::apply(
-          [](auto&... a) { return std::tuple<typename Arms::Result...>(a.take()...); },
-          arms_);
-    } else {
-      return take_winner<0>();
-    }
+    return take_winner<0>();
   }
 
  private:
@@ -666,12 +568,11 @@ class OpenAwaiter {
     auto st = std::make_unique<StreamState<E>>();
     st->ctl = cx_.ctl;
     st->runner = cx_.runner;
-    st->capacity = d_.capacity;
     StreamState<E>* s = st.get();
     s->sub = cx_.runner->subscribe_event<E>(
         d_.half, [s, runner = cx_.runner, pred = std::move(d_.pred)](const E& e) {
           if (!pred(e)) return;
-          if (s->buf.size() >= s->capacity) {
+          if (s->buf.size() >= StreamState<E>::kCapacity) {
             ++s->dropped;  // lossy-network semantics: bounded buffering
             return;
           }
@@ -694,7 +595,7 @@ class ArmTimerAwaiter {
 
   bool await_ready() const { return true; }
   void await_suspend(std::coroutine_handle<>) const {}
-  ArmedTimer await_resume();
+  ArmedTimer await_resume() { return ArmedTimer(cx_, d_.timer_half, d_.delay_ms); }
 
  private:
   AwaitCtx cx_;
@@ -709,8 +610,6 @@ template <class T>
 struct Promise;
 template <class... Ds>
 struct AnyDesc;
-template <class... Ds>
-struct AllDesc;
 
 struct PromiseBase {
   ComponentDefinition* def = nullptr;
@@ -754,14 +653,6 @@ struct PromiseBase {
   }
 
   // ---- await_transform: the closed set of awaitables --------------------
-  template <class E, class Pred>
-  auto await_transform(NextDesc<E, Pred> d) {
-    return SingleAwaiter(ctx(), make_arm(std::move(d)));
-  }
-  template <class Resp, class Req, class Pred>
-  auto await_transform(RequestDesc<Resp, Req, Pred> d) {
-    return SingleAwaiter(ctx(), make_arm(std::move(d)));
-  }
   auto await_transform(SleepDesc d) { return SingleAwaiter(ctx(), make_arm(d)); }
   template <class E>
   auto await_transform(StreamNextDesc<E> d) {
@@ -775,18 +666,12 @@ struct PromiseBase {
   auto await_transform(ArmTimerDesc d) { return ArmTimerAwaiter(ctx(), d); }
   template <class... Ds>
   auto await_transform(AnyDesc<Ds...> d);
-  template <class... Ds>
-  auto await_transform(AllDesc<Ds...> d);
   template <class U>
   auto await_transform(Proto<U>&& p);
 };
 
 template <class... Ds>
 struct AnyDesc {
-  std::tuple<Ds...> arms;
-};
-template <class... Ds>
-struct AllDesc {
   std::tuple<Ds...> arms;
 };
 
@@ -878,17 +763,8 @@ template <class... Ds>
 auto PromiseBase::await_transform(AnyDesc<Ds...> d) {
   return std::apply(
       [&](Ds&... ds) {
-        return MultiAwaiter<false, decltype(make_arm(std::move(ds)))...>(
-            ctx(), make_arm(std::move(ds))...);
-      },
-      d.arms);
-}
-template <class... Ds>
-auto PromiseBase::await_transform(AllDesc<Ds...> d) {
-  return std::apply(
-      [&](Ds&... ds) {
-        return MultiAwaiter<true, decltype(make_arm(std::move(ds)))...>(
-            ctx(), make_arm(std::move(ds))...);
+        return MultiAwaiter<decltype(make_arm(std::move(ds)))...>(ctx(),
+                                                                 make_arm(std::move(ds))...);
       },
       d.arms);
 }
@@ -900,20 +776,12 @@ auto PromiseBase::await_transform(Proto<U>&& p) {
 }  // namespace detail
 
 /// when_any(d...): resolve to the first arm that fires; the losers are
-/// detached (one-shot subscriptions removed, unfired sleeps cancelled
-/// through the Timer port). Yields std::variant over the arm results
-/// (std::shared_ptr<const E> for event arms, Elapsed for timer arms) —
-/// switch on .index().
+/// detached (stream and timer arms stop waiting, and a losing sleep's
+/// timeout is cancelled through the Timer port). Yields std::variant over
+/// the arm results (std::shared_ptr<const E> for stream arms, Elapsed for
+/// timer arms) — switch on .index().
 template <class... Ds>
 detail::AnyDesc<Ds...> when_any(Ds... ds) {
-  static_assert(sizeof...(Ds) >= 1);
-  return {std::tuple<Ds...>(std::move(ds)...)};
-}
-
-/// when_all(d...): resolve once every arm has fired; yields a tuple of the
-/// arm results.
-template <class... Ds>
-detail::AllDesc<Ds...> when_all(Ds... ds) {
   static_assert(sizeof...(Ds) >= 1);
   return {std::tuple<Ds...>(std::move(ds)...)};
 }

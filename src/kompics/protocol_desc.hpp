@@ -1,17 +1,13 @@
 #pragma once
 
-// Inert awaitable descriptors for the coroutine protocol layer
-// (protocol.hpp). A descriptor only names WHAT to await — a port half, an
-// event type, a correlation predicate — and carries no binding to any
+// The inert descriptor the typed port handles hand out for the coroutine
+// protocol layer (protocol.hpp). It only names WHAT to await — a port half,
+// an event type, a correlation predicate — and carries no binding to any
 // component or frame. The binding happens when a Proto<> coroutine
-// co_awaits the descriptor: the promise's await_transform attaches it to
-// the awaiting component's protocol runner. Keeping descriptors inert lets
-// port.hpp hand them out from the typed Positive<PT>/Negative<PT> handles
-// (`co_await port.request<Pong>(Ping{...})`) without depending on the
-// protocol machinery.
-
-#include <cstddef>
-#include <utility>
+// co_awaits it: the promise's await_transform attaches it to the awaiting
+// component's protocol runner. Keeping it inert lets port.hpp build it
+// from Positive<PT>/Negative<PT> (`co_await port.open<Pong>(pred)`) without
+// depending on the protocol machinery.
 
 namespace kompics {
 
@@ -27,37 +23,16 @@ struct AcceptAll {
   }
 };
 
-/// co_await port.next<E>(pred): suspend until the next E arriving on `half`
-/// that satisfies `pred`; yields std::shared_ptr<const E>. One-shot: events
-/// arriving before the co_await (or between resumption and a later next)
-/// are not buffered — use open<E>() when none may be missed.
-template <class E, class Pred = AcceptAll>
-struct NextDesc {
-  PortCore* half = nullptr;
-  Pred pred{};
-};
-
-/// co_await port.request<Resp>(Req{...}, pred): subscribe for the matching
-/// Resp, trigger the request on the same half, suspend until the response;
-/// yields std::shared_ptr<const Resp>.
-template <class Resp, class Req, class Pred = AcceptAll>
-struct RequestDesc {
-  PortCore* half = nullptr;
-  Req request;
-  Pred pred{};
-};
-
 /// co_await port.open<E>(pred): returns a Stream<E> (protocol.hpp) that
 /// subscribes immediately and buffers every matching event until consumed
-/// with co_await stream.next() — the primitive for quorum collection, where
-/// an event arriving between a fire and the frame's resumption must not be
-/// lost. Does not suspend.
+/// with co_await stream.next(). The one way a frame awaits events: a
+/// correlated reply is opened for before the request is triggered, and no
+/// event arriving between a fire and the frame's resumption is lost. Does
+/// not suspend.
 template <class E, class Pred = AcceptAll>
 struct OpenDesc {
   PortCore* half = nullptr;
   Pred pred{};
-  /// Buffered events beyond this are dropped (lossy-network semantics).
-  std::size_t capacity = 4096;
 };
 
 }  // namespace protocol

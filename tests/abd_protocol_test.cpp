@@ -29,7 +29,9 @@ class Harness : public ComponentDefinition {
     subscribe<LookupRequest>(router_, [this](const LookupRequest& req) {
       lookups.push_back(req);
       if (auto_answer_lookups) {
-        trigger(make_event<LookupResponse>(req.id, req.key, group, view_version), router_);
+        trigger(make_event<LookupResponse>(
+                    req.id, req.key, GroupView{.version = view_version, .members = group}),
+                router_);
       }
     });
     subscribe<AbdReadMsg>(network_, [this](const AbdReadMsg& m) { reads.push_back(m); });

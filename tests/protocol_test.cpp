@@ -1,9 +1,9 @@
 // Coroutine protocol layer (protocol.hpp, DESIGN.md §9): request/response
-// correlation, one-shot next with predicates, buffered streams, timeouts and
-// deadlines on the Timer port, when_any/when_all fan-out, nested Proto
-// composition, fault escalation, and the destroy-cancellation contract (an
-// in-flight frame destroyed with its component must cancel its armed
-// timeouts — the PR 1 ThreadTimer-leak class).
+// correlation and predicates on buffered streams, timeouts and deadlines on
+// the Timer port, when_any fan-out, nested Proto composition, fault
+// escalation, and the destroy-cancellation contract (an in-flight frame
+// destroyed with its component must cancel its armed timeouts — the
+// ThreadTimer-leak class).
 
 #include <gtest/gtest.h>
 
@@ -77,37 +77,33 @@ class ProtoClient : public ComponentDefinition {
   std::atomic<int> sum{0};
   std::atomic<int> done{0};
 
+  /// A correlated request: open the reply stream, then trigger the Ping,
+  /// so the Pong cannot arrive before the subscription exists.
   protocol::Proto<void> request_once(int id) {
-    auto pong =
-        co_await svc_.request<Pong>(Ping(id), [id](const Pong& p) { return p.id == id; });
+    auto pongs = co_await svc_.open<Pong>([id](const Pong& p) { return p.id == id; });
+    trigger(make_event<Ping>(id), svc_);
+    auto pong = co_await pongs.next();
     last.store(pong->id);
     done.fetch_add(1);
   }
 
   protocol::Proto<void> await_next_matching(int want) {
-    auto pong = co_await svc_.next<Pong>([want](const Pong& p) { return p.id == want; });
+    auto pongs = co_await svc_.open<Pong>([want](const Pong& p) { return p.id == want; });
+    auto pong = co_await pongs.next();
     last.store(pong->id);
     done.fetch_add(1);
   }
 
   protocol::Proto<void> request_with_timeout(int id, std::int64_t ms) {
-    auto r = co_await protocol::when_any(
-        svc_.request<Pong>(Ping(id), [id](const Pong& p) { return p.id == id; }),
-        protocol::sleep(timer_, ms));
+    auto pongs = co_await svc_.open<Pong>([id](const Pong& p) { return p.id == id; });
+    trigger(make_event<Ping>(id), svc_);
+    auto r = co_await protocol::when_any(pongs.next(), protocol::sleep(timer_, ms));
     if (r.index() == 0) {
       last.store(std::get<0>(r)->id);
       outcome.store(1);
     } else {
       outcome.store(2);
     }
-    done.fetch_add(1);
-  }
-
-  protocol::Proto<void> request_pair(int a, int b) {
-    auto [ra, rb] = co_await protocol::when_all(
-        svc_.request<Pong>(Ping(a), [a](const Pong& p) { return p.id == a; }),
-        svc_.request<Pong>(Ping(b), [b](const Pong& p) { return p.id == b; }));
-    sum.store(ra->id + rb->id);
     done.fetch_add(1);
   }
 
@@ -128,24 +124,25 @@ class ProtoClient : public ComponentDefinition {
   /// shape every retried quorum protocol needs).
   protocol::Proto<void> two_phases_one_deadline(int a, int b, std::int64_t ms) {
     auto deadline = co_await protocol::arm_timer(timer_, ms);
-    auto r1 = co_await protocol::when_any(
-        svc_.request<Pong>(Ping(a), [a](const Pong& p) { return p.id == a; }),
-        deadline.wait());
+    auto first = co_await svc_.open<Pong>([a](const Pong& p) { return p.id == a; });
+    trigger(make_event<Ping>(a), svc_);
+    auto r1 = co_await protocol::when_any(first.next(), deadline.wait());
     if (r1.index() == 1) {
       outcome.store(2);
       done.fetch_add(1);
       co_return;
     }
-    auto r2 = co_await protocol::when_any(
-        svc_.request<Pong>(Ping(b), [b](const Pong& p) { return p.id == b; }),
-        deadline.wait());
+    auto second = co_await svc_.open<Pong>([b](const Pong& p) { return p.id == b; });
+    trigger(make_event<Ping>(b), svc_);
+    auto r2 = co_await protocol::when_any(second.next(), deadline.wait());
     outcome.store(r2.index() == 0 ? 1 : 2);
     done.fetch_add(1);
   }
 
   protocol::Proto<int> child_fetch(int id) {
-    auto pong =
-        co_await svc_.request<Pong>(Ping(id), [id](const Pong& p) { return p.id == id; });
+    auto pongs = co_await svc_.open<Pong>([id](const Pong& p) { return p.id == id; });
+    trigger(make_event<Ping>(id), svc_);
+    auto pong = co_await pongs.next();
     co_return pong->id;
   }
 
@@ -175,9 +172,8 @@ class ProtoClient : public ComponentDefinition {
   /// Parks on an event that never arrives, with an armed timeout: the
   /// shape destroyed mid-flight by the destroy-cancellation tests.
   protocol::Proto<void> park_with_timeout(std::int64_t ms) {
-    auto r = co_await protocol::when_any(
-        svc_.next<Pong>([](const Pong& p) { return p.id == 999999; }),
-        protocol::sleep(timer_, ms));
+    auto never = co_await svc_.open<Pong>([](const Pong& p) { return p.id == 999999; });
+    auto r = co_await protocol::when_any(never.next(), protocol::sleep(timer_, ms));
     (void)r;
     done.fetch_add(1);
   }
@@ -274,12 +270,6 @@ TEST_F(ProtocolFixture, WhenAnyWinnerCancelsLosingTimeout) {
   // exact, so it is disarmed well before its 1500 ms deadline.
   wait_until([&] { return timer->armed_timeouts() == 0; }, 1000);
   EXPECT_EQ(timer->armed_timeouts(), 0u) << "loser timeout was not cancelled";
-}
-
-TEST_F(ProtocolFixture, WhenAllCollectsEveryArm) {
-  protocol::spawn(client->request_pair(2, 8));
-  wait_until([&] { return client->done.load() >= 1; }, 2000);
-  EXPECT_EQ(client->sum.load(), 10);
 }
 
 TEST_F(ProtocolFixture, StreamBuffersBurstAcrossSuspensions) {

@@ -108,7 +108,7 @@ TEST_F(RouterFixture, NotResponsibleBeforeFirstRingView) {
   world->h().lookup(1, 123);
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
-  EXPECT_TRUE(world->h().responses[0].group.empty());
+  EXPECT_TRUE(world->h().responses[0].view.members.empty());
 }
 
 TEST_F(RouterFixture, AuthoritativeAnswerUsesRingSuccessorList) {
@@ -118,12 +118,12 @@ TEST_F(RouterFixture, AuthoritativeAnswerUsesRingSuccessorList) {
   world->h().lookup(2, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
-  const auto& g = world->h().responses[0].group;
+  const auto& g = world->h().responses[0].view.members;
   ASSERT_EQ(g.size(), 3u);
   EXPECT_EQ(g[0].key, world->self.key) << "responsible node heads the group";
   EXPECT_EQ(g[1].key, node(60).key);
   EXPECT_EQ(g[2].key, node(70).key);
-  EXPECT_EQ(world->h().responses[0].view_version, 0u)
+  EXPECT_EQ(world->h().responses[0].view.version, 0u)
       << "a ring-successor fallback answer carries no view version";
 }
 
@@ -135,10 +135,10 @@ TEST_F(RouterFixture, AuthoritativeAnswerPrefersInstalledView) {
   world->h().lookup(2, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
-  EXPECT_EQ(world->h().responses[0].view_version, 7u)
+  EXPECT_EQ(world->h().responses[0].view.version, 7u)
       << "answers are stamped with the installed view's version";
-  ASSERT_EQ(world->h().responses[0].group.size(), 3u);
-  EXPECT_EQ(world->h().responses[0].group[0].key, world->self.key);
+  ASSERT_EQ(world->h().responses[0].view.members.size(), 3u);
+  EXPECT_EQ(world->h().responses[0].view.members[0].key, world->self.key);
 }
 
 TEST_F(RouterFixture, NewerViewSupersedesCachedOlderOne) {
@@ -152,9 +152,9 @@ TEST_F(RouterFixture, NewerViewSupersedesCachedOlderOne) {
   world->h().lookup(3, (45ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
-  EXPECT_EQ(world->h().responses[0].view_version, 8u);
-  ASSERT_EQ(world->h().responses[0].group.size(), 3u);
-  EXPECT_EQ(world->h().responses[0].group[2].key, node(80).key);
+  EXPECT_EQ(world->h().responses[0].view.version, 8u);
+  ASSERT_EQ(world->h().responses[0].view.members.size(), 3u);
+  EXPECT_EQ(world->h().responses[0].view.members[2].key, node(80).key);
 }
 
 TEST_F(RouterFixture, LoneRingIsResponsibleForEverything) {
@@ -163,8 +163,8 @@ TEST_F(RouterFixture, LoneRingIsResponsibleForEverything) {
   world->h().lookup(3, (7ull << 48));
   step();
   ASSERT_EQ(world->h().responses.size(), 1u);
-  ASSERT_EQ(world->h().responses[0].group.size(), 1u);
-  EXPECT_EQ(world->h().responses[0].group[0].key, world->self.key);
+  ASSERT_EQ(world->h().responses[0].view.members.size(), 1u);
+  EXPECT_EQ(world->h().responses[0].view.members[0].key, world->self.key);
 }
 
 TEST_F(RouterFixture, FullTableSendsTheLookupStraightToTheKeysSuccessor) {
@@ -262,7 +262,7 @@ TEST_F(RouterFixture, OrphanedNodeRefusesWholeRingAuthority) {
   // It may forward to last-known peers (fine) or answer with an empty
   // group; what it must NEVER do is answer authoritatively with itself.
   for (const auto& r : world->h().responses) {
-    ASSERT_TRUE(r.group.empty() || r.group[0].addr != world->self.addr)
+    ASSERT_TRUE(r.view.members.empty() || r.view.members[0].addr != world->self.addr)
         << "orphaned node claimed whole-ring authority (split-brain)";
   }
 }
@@ -320,7 +320,7 @@ TEST_F(RouterFixture, NoPredecessorAndNothingCloserAnswersTheOriginEmpty) {
   step();
   EXPECT_TRUE(world->h().forwarded.empty());
   ASSERT_EQ(world->h().responses.size(), 1u);
-  EXPECT_TRUE(world->h().responses[0].group.empty());
+  EXPECT_TRUE(world->h().responses[0].view.members.empty());
   EXPECT_EQ(world->r().counters().lookups_unroutable, 2u);
 }
 
@@ -414,9 +414,9 @@ TEST_F(ViewCacheFixture, RelayedVersionedAnswerFillsTheCache) {
   relay_one(*this, 1, kInRange, remote_view(5));
   auto& h = world->h();
   ASSERT_EQ(h.responses.size(), 1u);
-  EXPECT_EQ(h.responses[0].view_version, 5u);
-  ASSERT_EQ(h.responses[0].group.size(), 3u);
-  EXPECT_EQ(h.responses[0].group[0].key, node(30).key);
+  EXPECT_EQ(h.responses[0].view.version, 5u);
+  ASSERT_EQ(h.responses[0].view.members.size(), 3u);
+  EXPECT_EQ(h.responses[0].view.members[0].key, node(30).key);
   EXPECT_EQ(world->r().learned_size(), 1u);
   EXPECT_TRUE(world->r().invariant_violations().empty());
 }
@@ -431,8 +431,8 @@ TEST_F(ViewCacheFixture, SameRangeIsAnsweredLocallyOtherRangesAreRouted) {
   ASSERT_EQ(h.responses.size(), 2u);
   EXPECT_EQ(h.responses[1].id, 2u);
   EXPECT_EQ(h.responses[1].key, kAlsoInRange);
-  EXPECT_EQ(h.responses[1].view_version, 5u);
-  EXPECT_EQ(h.responses[1].group[0].key, node(30).key);
+  EXPECT_EQ(h.responses[1].view.version, 5u);
+  EXPECT_EQ(h.responses[1].view.members[0].key, node(30).key);
 
   h.lookup(3, kOutOfRange);
   step();
@@ -453,11 +453,11 @@ TEST_F(ViewCacheFixture, FreshLookupEvictsTheEntryAndRoutes) {
   h.inject_result(node(30).addr, world->self.addr, 2, kAlsoInRange, remote_view(6));
   step();
   ASSERT_EQ(h.responses.size(), 2u);
-  EXPECT_EQ(h.responses[1].view_version, 6u);
+  EXPECT_EQ(h.responses[1].view.version, 6u);
   h.lookup(3, kInRange);
   step();
   ASSERT_EQ(h.responses.size(), 3u);
-  EXPECT_EQ(h.responses[2].view_version, 6u);
+  EXPECT_EQ(h.responses[2].view.version, 6u);
 }
 
 TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
@@ -468,12 +468,12 @@ TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
   relay_one(*this, 2, kOutOfRange, parent);
   auto& h = world->h();
   ASSERT_EQ(h.responses.size(), 2u);
-  EXPECT_EQ(h.responses[1].view_version, 3u);
+  EXPECT_EQ(h.responses[1].view.version, 3u);
   EXPECT_EQ(world->r().learned_size(), 1u);
   h.lookup(3, kAlsoInRange);
   step();
   ASSERT_EQ(h.responses.size(), 3u);
-  EXPECT_EQ(h.responses[2].view_version, 5u) << "the higher version still answers";
+  EXPECT_EQ(h.responses[2].view.version, 5u) << "the higher version still answers";
   EXPECT_TRUE(world->r().invariant_violations().empty());
 
   // The other way round, a newer overlapping view replaces the entry.
@@ -483,7 +483,7 @@ TEST_F(ViewCacheFixture, LowerVersionNeverReplacesAnOverlappingHigherOne) {
   h.lookup(5, kAlsoInRange);
   step();
   ASSERT_EQ(h.responses.size(), 5u);
-  EXPECT_EQ(h.responses[4].view_version, 9u);
+  EXPECT_EQ(h.responses[4].view.version, 9u);
   EXPECT_TRUE(world->r().invariant_violations().empty());
 }
 
@@ -503,7 +503,7 @@ TEST_F(ViewCacheFixture, UnversionedAnswersAreNotCached) {
   relay_one(*this, 1, kInRange, remote_view(0));
   auto& h = world->h();
   ASSERT_EQ(h.responses.size(), 1u) << "still relayed to the asking op";
-  EXPECT_EQ(h.responses[0].view_version, 0u);
+  EXPECT_EQ(h.responses[0].view.version, 0u);
   EXPECT_EQ(world->r().learned_size(), 0u);
   const std::size_t forwarded = h.forwarded.size();
   h.lookup(2, kAlsoInRange);

@@ -1,7 +1,8 @@
 // Stress driver: the coroutine protocol layer under scale and churn. Ten
 // thousand frames park concurrently, each awaiting a correlated response
-// with an armed timeout (when_any(request, sleep) — the quorum-protocol
-// shape), while most of their owning components are destroyed mid-flight.
+// with an armed timeout (when_any(stream.next(), sleep) — the
+// quorum-protocol shape), while most of their owning components are
+// destroyed mid-flight.
 // Verifies, at scale, the destroy-cancellation contract (destroy cancels
 // every parked frame AND its armed timeout; a fired-after-death timeout
 // resuming a dead frame would crash or trip TSan), that survivors keep
@@ -71,9 +72,9 @@ class AwaitClient : public ComponentDefinition {
   long done() const { return responses.load() + timeouts.load(); }
 
   protocol::Proto<void> one_await(std::int64_t id, std::int64_t timeout_ms) {
-    auto r = co_await protocol::when_any(
-        svc_.request<CPong>(CPing(id), [id](const CPong& p) { return p.id == id; }),
-        protocol::sleep(timer_, timeout_ms));
+    auto pongs = co_await svc_.open<CPong>([id](const CPong& p) { return p.id == id; });
+    trigger(make_event<CPing>(id), svc_);
+    auto r = co_await protocol::when_any(pongs.next(), protocol::sleep(timer_, timeout_ms));
     (r.index() == 0 ? responses : timeouts).fetch_add(1);
   }
 

@@ -47,7 +47,8 @@ struct AbdDslTest : ::testing::Test {
     return make_event<AbdWriteAckMsg>(from, to.source(), to.op, to.key, to.view);
   }
   EventPtr lookup_answer(const LookupRequest& req, std::uint64_t view_version) {
-    return make_event<LookupResponse>(req.id, req.key, group, view_version);
+    return make_event<LookupResponse>(req.id, req.key,
+                                      GroupView{.version = view_version, .members = group});
   }
 
   ConsistentABD& abd() { return ctx->cut().definition_as<ConsistentABD>(); }

@@ -99,7 +99,8 @@ TEST_F(ReconfigDslTest, NackMajorityTriggersFastRetryAfterBackoff) {
   ctx->trigger(putget, make_event<PutRequest>(11, 23, Value{6}))
       .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
       .trigger(router,
-               [&] { return make_event<LookupResponse>(lookup.id, lookup.key, group, 1); })
+               [&] { return make_event<LookupResponse>(lookup.id, lookup.key,
+                                                   GroupView{.version = 1, .members = group}); })
       .repeat(3)
       .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
       .end_repeat()
@@ -129,7 +130,8 @@ TEST_F(ReconfigDslTest, NackMajorityTriggersFastRetryAfterBackoff) {
       })
       .trigger(router,
                [&] {
-                 return make_event<LookupResponse>(retry_lookup.id, retry_lookup.key, group, 9);
+                 return make_event<LookupResponse>(retry_lookup.id, retry_lookup.key,
+                                                   GroupView{.version = 9, .members = group});
                })
       // A fresh read phase goes out under the new view.
       .repeat(3)
@@ -151,7 +153,8 @@ TEST_F(ReconfigDslTest, RepeatedNackMajoritiesDoubleTheBackoff) {
   auto nack_majority = [&](testkit::TestContext& c) -> testkit::TestContext& {
     return c
         .trigger(router,
-                 [&] { return make_event<LookupResponse>(lookup.id, lookup.key, group, 1); })
+                 [&] { return make_event<LookupResponse>(lookup.id, lookup.key,
+                                                   GroupView{.version = 1, .members = group}); })
         .repeat(3)
         .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
         .end_repeat()
