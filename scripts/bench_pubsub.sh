@@ -38,13 +38,19 @@
 # carries a live coroutine frame (ProtocolHost + hidden resume port +
 # correlation subscription). Both sides run in the same process on the same
 # machine, so the ratio isolates the protocol layer's tax on non-coroutine
-# dispatch; the ≤3% budget (geomean plain/proto ≤ 1.03) is enforced with
-# exit 1. Writes OUT_JSON (default: BENCH_protocol.json). If BASELINE_JSON
+# dispatch. Each benchmark runs PROTOCOL_REPETITIONS times, randomly
+# interleaved with the others, and is judged by its median: one noisy run
+# cannot flip the gate. The ≤3% budget (geomean over the benchmarks of
+# median plain / median proto ≤ 1.03) is enforced with exit 1. Writes
+# OUT_JSON (default: BENCH_protocol.json). If BASELINE_JSON
 # (a BENCH_pubsub.json from a pre-coroutine tree) is given, the plain run is
 # also compared against it — informational, since absolute throughput is not
 # comparable across machines.
 
 set -euo pipefail
+
+# Repetitions per benchmark in --protocol mode (see above).
+PROTOCOL_REPETITIONS=5
 
 if [[ "${1:-}" == "--protocol" ]]; then
   shift
@@ -59,23 +65,31 @@ if [[ "${1:-}" == "--protocol" ]]; then
   fi
   tmp_json="$(mktemp)"
   trap 'rm -f "$tmp_json"' EXIT
-  echo "[bench_pubsub] protocol-layer overhead (min_time=$MIN_TIME)..." >&2
+  echo "[bench_pubsub] protocol-layer overhead (min_time=$MIN_TIME," \
+    "$PROTOCOL_REPETITIONS interleaved repetitions)..." >&2
   KOMPICS_TELEMETRY=off "$PUBSUB_BIN" --benchmark_format=json \
     --benchmark_filter='BM_DispatchHandlers(Proto)?/' \
+    --benchmark_repetitions="$PROTOCOL_REPETITIONS" \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_min_time="$MIN_TIME" >"$tmp_json"
-  python3 - "$tmp_json" "$OUT_JSON" "$BASELINE_JSON" <<'PY'
-import json, math, subprocess, sys
+  python3 - "$tmp_json" "$OUT_JSON" "$BASELINE_JSON" "$PROTOCOL_REPETITIONS" <<'PY'
+import json, math, statistics, subprocess, sys
 
-bench_path, out_path, baseline_path = sys.argv[1:4]
+bench_path, out_path, baseline_path, repetitions = sys.argv[1:5]
 
 raw = json.load(open(bench_path))
+samples = {}
+for b in raw.get("benchmarks", []):
+    if b.get("run_type") != "aggregate":
+        samples.setdefault(b["run_name"], []).append(b)
+# Each benchmark is represented by the median of its repetitions.
 runs = {
-    b["name"]: {
-        "real_time_ns": b.get("real_time"),
-        "items_per_second": b.get("items_per_second"),
+    name: {
+        "real_time_ns": statistics.median(b.get("real_time") for b in reps),
+        "items_per_second": statistics.median(b.get("items_per_second", 0) for b in reps),
+        "items_per_second_runs": [b.get("items_per_second") for b in reps],
     }
-    for b in raw.get("benchmarks", [])
-    if b.get("run_type") != "aggregate"
+    for name, reps in samples.items()
 }
 
 plain = {n: r for n, r in runs.items() if n.startswith("BM_DispatchHandlers/")}
@@ -105,7 +119,7 @@ except OSError:
     rev = None
 
 result = {
-    "schema": "kompics-bench-protocol-v1",
+    "schema": "kompics-bench-protocol-v2",
     "context": {
         "date": raw.get("context", {}).get("date"),
         "host": raw.get("context", {}).get("host_name"),
@@ -117,6 +131,7 @@ result = {
               for n, r in proto.items()},
     "overhead_proto_vs_plain": overhead,
     "geomean_proto_vs_plain": gm,
+    "repetitions": int(repetitions),
     "protocol_overhead_budget": {"limit": 1.03, "ok": ok},
 }
 
@@ -134,7 +149,7 @@ if baseline_path:
 json.dump(result, open(out_path, "w"), indent=2)
 print(f"[bench_pubsub] wrote {out_path}")
 for name in sorted(overhead):
-    print(f"  {name}: {overhead[name]}x proto/plain")
+    print(f"  {name}: {overhead[name]}x proto/plain (median of {repetitions})")
 print(f"  geomean proto/plain: {gm}x (budget 1.03x: {'OK' if ok else 'EXCEEDED'})")
 if result.get("geomean_plain_vs_baseline") is not None:
     print(f"  geomean vs checked-in baseline: {result['geomean_plain_vs_baseline']}x "

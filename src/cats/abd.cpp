@@ -15,8 +15,8 @@ ConsistentABD::ConsistentABD() {
   });
 
   subscribe<Start>(control(), [this](const Start&) {
-    trigger(timing::schedule_periodic<ReconfigTick>(params_.view_reconfig_period_ms,
-                                                    params_.view_reconfig_period_ms),
+    trigger(timing::schedule_periodic<ReconfigTick>(CatsParams::kViewReconfigPeriodMs,
+                                                    CatsParams::kViewReconfigPeriodMs),
             timer_);
   });
 
@@ -54,7 +54,7 @@ ConsistentABD::ConsistentABD() {
   // version, so the coordinator can retry under a fresh lookup.
 
   subscribe<AbdReadMsg>(network_, [this](const AbdReadMsg& msg) {
-    const RangeState* r = covering_range(msg.key);
+    const RangeState* r = ranges_.covering(msg.key);
     if (!params_.inject_stale_view_bug &&
         (r == nullptr || r->fenced || r->view.version != msg.view ||
          !r->view.has_member(self_.addr))) {
@@ -73,7 +73,7 @@ ConsistentABD::ConsistentABD() {
   });
 
   subscribe<AbdWriteMsg>(network_, [this](const AbdWriteMsg& msg) {
-    const RangeState* r = covering_range(msg.key);
+    const RangeState* r = ranges_.covering(msg.key);
     if (!params_.inject_stale_view_bug &&
         (r == nullptr || r->fenced || r->view.version != msg.view ||
          !r->view.has_member(self_.addr))) {
@@ -239,7 +239,7 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
       // inject_stale_view_bug emulation deliberately re-opens that window,
       // params.hpp.)
       if (!reask.armed()) {
-        reask = co_await protocol::arm_timer(timer_, params_.fast_retry_backoff_ms);
+        reask = co_await protocol::arm_timer(timer_, CatsParams::kFastRetryBackoffMs);
       }
       continue;
     }
@@ -285,7 +285,7 @@ protocol::Proto<bool> ConsistentABD::quorum_round(OpId internal,
       // lands would otherwise exhaust every retry within a second.
       ++counters_.fast_retries;
       const DurationMs backoff = std::min<DurationMs>(
-          params_.op_timeout_ms, params_.fast_retry_backoff_ms << std::min(op.fast_retries, 6));
+          params_.op_timeout_ms, CatsParams::kFastRetryBackoffMs << std::min(op.fast_retries, 6));
       ++op.fast_retries;
       fast = co_await protocol::arm_timer(timer_, backoff);
     }
@@ -399,19 +399,9 @@ void ConsistentABD::note_mixed_view_ack(OpId internal, const Op& op, std::uint64
 
 std::vector<std::string> ConsistentABD::invariant_violations() const {
   std::vector<std::string> out = recorded_violations_;
-  // Installed views must partition the key space: every range's own hi key
-  // must be covered by no other installed range (overlap means two replica
-  // groups both believe they own a key — the divergence precondition).
-  for (const auto& [hi, r] : ranges_) {
-    for (const auto& [other_hi, other] : ranges_) {
-      if (other_hi != hi && other.view.covers(hi) && r.view.covers(other_hi)) {
-        out.push_back("abd: installed views overlap: (" + std::to_string(r.view.lo) + ", " +
-                      std::to_string(hi) + "]@v" + std::to_string(r.view.version) + " and (" +
-                      std::to_string(other.view.lo) + ", " + std::to_string(other_hi) + "]@v" +
-                      std::to_string(other.view.version));
-      }
-    }
-  }
+  // Two overlapping installed views, nested ones included, mean two replica
+  // groups both believe they own a key (the divergence precondition).
+  ranges_.check_disjoint("abd: installed", out);
   // No in-flight op may hold more (deduplicated) acks than its group has
   // members, and its quorum must be a majority of that group.
   for (const auto& [id, op] : ops_) {
@@ -440,7 +430,7 @@ std::vector<std::string> ConsistentABD::invariant_violations() const {
 
 void ConsistentABD::replica_nack(const Address& to, OpId op, RingKey key) {
   ++counters_.stale_view_nacks;
-  const RangeState* r = covering_range(key);
+  const RangeState* r = ranges_.covering(key);
   trigger(make_event<AbdNackMsg>(self_.addr, to, op, key, r == nullptr ? 0 : r->view.version),
           network_);
 }

@@ -26,6 +26,8 @@
 // the OLD view's members, and promising a proposal fences the old view —
 // so by the time a new view activates, the old one can no longer assemble
 // an ABD quorum, and a partial partition cannot commit divergent writes.
+// That needs a replica's installed views to be pairwise disjoint, which the
+// supersede rule of their ViewTable (view_table.hpp) keeps them.
 //
 // Replicas are otherwise passive: they answer reads with their stored
 // (tag, value) and apply writes only when the incoming tag is newer.
@@ -41,6 +43,7 @@
 #include "cats/messages.hpp"
 #include "cats/params.hpp"
 #include "cats/ports.hpp"
+#include "cats/view_table.hpp"
 #include "kompics/component.hpp"
 #include "kompics/kompics.hpp"
 #include "kompics/protocol.hpp"
@@ -89,16 +92,18 @@ class ConsistentABD : public ComponentDefinition {
   };
   const Counters& counters() const { return counters_; }
   std::size_t store_size() const { return store_.size(); }
-  std::size_t ranges_held() const { return ranges_.size(); }
   /// Installed view covering `key`, if any (tests / introspection).
-  std::optional<GroupView> view_covering(RingKey key) const;
+  std::optional<GroupView> view_covering(RingKey key) const {
+    const RangeState* r = ranges_.covering(key);
+    return r == nullptr ? std::nullopt : std::optional<GroupView>(r->view);
+  }
 
-  /// Protocol invariants for the campaign harness (ISSUE 7): recorded
-  /// violations (an op counting acks under a view other than the one it was
-  /// coordinated under — the exact PR 6 bug class) plus on-demand checks of
-  /// the current state (installed views must partition the key space
-  /// disjointly; no in-flight op may hold more acks than group members).
-  /// Empty on every healthy run; the campaign runner polls this per node.
+  /// Protocol invariants for the campaign harness: recorded violations (an
+  /// op counting acks under a view other than the one it was coordinated
+  /// under) plus on-demand checks of the current state (no two installed
+  /// views may overlap, nested ones included; no in-flight op may hold more
+  /// acks than group members). Empty on every healthy run; the campaign
+  /// runner polls this per node.
   std::vector<std::string> invariant_violations() const;
 
  private:
@@ -152,11 +157,11 @@ class ConsistentABD : public ComponentDefinition {
   /// A range this node holds (as member or catch-up copy). Fenced ranges no
   /// longer acknowledge ABD phase messages: a majority of fenced members is
   /// what de-activates an old view.
-  struct RangeState {
-    GroupView view;
+  struct Fence {
     bool fenced = false;
     TimeMs fenced_at = 0;  ///< when the fence dropped (recovery re-proposal timer)
   };
+  using RangeState = ViewTable<Fence>::Entry;
 
   /// Single-decree acceptor slot for one (range_hi, target version).
   struct Slot {
@@ -232,8 +237,7 @@ class ConsistentABD : public ComponentDefinition {
   /// consensus (prepare/promise/accept/accepted), installs, and catch-up
   /// fetches. Lives in abd_views.cpp with the rest of the view manager.
   void subscribe_view_protocol();
-  const RangeState* covering_range(RingKey key) const;
-  std::vector<KeyState> dump_range(RingKey lo, RingKey hi) const;
+  std::vector<KeyState> dump_range(const GroupView& range) const;
   /// The max-tag merge every state transfer uses: `(tag, value)` replaces
   /// the entry for `key` in `into` unless that entry already holds a newer
   /// or equal tag.
@@ -275,7 +279,7 @@ class ConsistentABD : public ComponentDefinition {
   std::uint64_t ring_epoch_ = 0;
   std::uint64_t fetch_attempts_ = 0;
 
-  std::map<RingKey, RangeState> ranges_;                      // keyed by view.hi
+  ViewTable<Fence> ranges_;                                   // installed views
   std::map<std::pair<RingKey, std::uint64_t>, Slot> slots_;   // (hi, target)
   std::map<RingKey, Reconfig> reconfigs_;                     // keyed by parent.hi
 };

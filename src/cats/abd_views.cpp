@@ -27,25 +27,19 @@ void ConsistentABD::subscribe_view_protocol() {
                                          std::move(state)),
               network_);
     };
-    auto it = ranges_.find(msg.range_hi);
-    if (it == ranges_.end() || it->second.view.version + 1 < msg.target) {
-      // We do not hold this range (it may have been superseded by a newer
-      // view after a split): if a newer installed view covers the proposer's
-      // hi, ship it so the stale proposer can catch up.
-      const RangeState* cover = covering_range(msg.range_hi);
+    RangeState* r = ranges_.find(msg.range_hi);
+    if (r == nullptr || r->view.version + 1 != msg.target) {
+      // Not an acceptor for this decree. If the view covering the proposer's
+      // hi is at or past the target (this range was reconfigured already, or
+      // superseded by a split), ship it so the stale proposer can catch up.
+      const RangeState* cover = ranges_.covering(msg.range_hi);
       if (cover != nullptr && cover->view.version >= msg.target) {
-        refuse(Ballot{}, {cover->view}, dump_range(cover->view.lo, cover->view.hi));
+        refuse(Ballot{}, {cover->view}, dump_range(cover->view));
       } else {
         refuse(Ballot{}, {}, {});
       }
       return;
     }
-    RangeState& r = it->second;
-    if (r.view.version >= msg.target) {  // already reconfigured past the target
-      refuse(Ballot{}, {r.view}, dump_range(r.view.lo, r.view.hi));
-      return;
-    }
-    // r.view.version == msg.target - 1: we are an acceptor for this decree.
     Slot& slot = slots_[{msg.range_hi, msg.target}];
     if (msg.ballot < slot.promised) {
       refuse(slot.promised, {}, {});
@@ -56,46 +50,37 @@ void ConsistentABD::subscribe_view_protocol() {
     // the range. Once a majority of the old view has promised, the old view
     // can never again assemble a quorum — which is the precondition for the
     // new view taking over without a divergence window.
-    if (!r.fenced) {
-      r.fenced = true;
-      r.fenced_at = now();
+    if (!r->fenced) {
+      r->fenced = true;
+      r->fenced_at = now();
       ++counters_.view_fences;
     }
     trigger(make_event<ViewPromiseMsg>(self_.addr, msg.source(), msg.range_hi, msg.target,
                                        msg.ballot, true, slot.promised, slot.has_accepted,
                                        slot.accepted_ballot, slot.accepted_children,
-                                       std::vector<GroupView>{},
-                                       dump_range(r.view.lo, r.view.hi)),
+                                       std::vector<GroupView>{}, dump_range(r->view)),
             network_);
   });
 
   subscribe<ViewAcceptMsg>(network_, [this](const ViewAcceptMsg& msg) {
-    auto it = ranges_.find(msg.range_hi);
-    const bool have_old = it != ranges_.end() && it->second.view.version + 1 == msg.target;
-    if (!have_old) {
-      trigger(make_event<ViewAcceptedMsg>(self_.addr, msg.source(), msg.range_hi, msg.target,
-                                          msg.ballot, false),
-              network_);
-      return;
-    }
-    Slot& slot = slots_[{msg.range_hi, msg.target}];
-    if (msg.ballot < slot.promised) {
-      trigger(make_event<ViewAcceptedMsg>(self_.addr, msg.source(), msg.range_hi, msg.target,
-                                          msg.ballot, false),
-              network_);
-      return;
-    }
-    slot.promised = msg.ballot;
-    slot.has_accepted = true;
-    slot.accepted_ballot = msg.ballot;
-    slot.accepted_children = msg.children;
-    if (!it->second.fenced) {
-      it->second.fenced = true;
-      it->second.fenced_at = now();
-      ++counters_.view_fences;
+    RangeState* r = ranges_.find(msg.range_hi);
+    Slot* slot = r != nullptr && r->view.version + 1 == msg.target
+                     ? &slots_[{msg.range_hi, msg.target}]
+                     : nullptr;
+    const bool ok = slot != nullptr && !(msg.ballot < slot->promised);
+    if (ok) {
+      slot->promised = msg.ballot;
+      slot->has_accepted = true;
+      slot->accepted_ballot = msg.ballot;
+      slot->accepted_children = msg.children;
+      if (!r->fenced) {
+        r->fenced = true;
+        r->fenced_at = now();
+        ++counters_.view_fences;
+      }
     }
     trigger(make_event<ViewAcceptedMsg>(self_.addr, msg.source(), msg.range_hi, msg.target,
-                                        msg.ballot, true),
+                                        msg.ballot, ok),
             network_);
   });
 
@@ -103,7 +88,7 @@ void ConsistentABD::subscribe_view_protocol() {
 
   subscribe<ViewPromiseMsg>(network_, [this](const ViewPromiseMsg& msg) {
     // A catch-up hint is useful whether or not the proposal it answers is
-    // still current: install (install_view no-ops unless strictly newer).
+    // still current (install_view keeps it only if it supersedes ours).
     if (!msg.ok && !msg.catchup.empty()) {
       install_view(msg.catchup[0], msg.state);
     }
@@ -195,12 +180,11 @@ void ConsistentABD::subscribe_view_protocol() {
   });
 
   subscribe<ViewFetchMsg>(network_, [this](const ViewFetchMsg& msg) {
+    const GroupView wanted{msg.lo, msg.hi, 0, {}};
     for (const auto& [hi, r] : ranges_) {
-      const bool overlaps =
-          in_interval_oc(msg.lo, msg.hi, r.view.hi) || r.view.covers(msg.hi);
-      if (!overlaps) continue;
+      if (!r.view.overlaps(wanted)) continue;
       trigger(make_event<ViewInstallMsg>(self_.addr, msg.source(), r.view.hi, r.view,
-                                         dump_range(r.view.lo, r.view.hi)),
+                                         dump_range(r.view)),
               network_);
     }
   });
@@ -208,25 +192,10 @@ void ConsistentABD::subscribe_view_protocol() {
 
 // ---- view state & policy ----------------------------------------------------
 
-const ConsistentABD::RangeState* ConsistentABD::covering_range(RingKey key) const {
-  const RangeState* best = nullptr;
-  for (const auto& [hi, r] : ranges_) {
-    if (!r.view.covers(key)) continue;
-    if (best == nullptr || best->view.version < r.view.version) best = &r;
-  }
-  return best;
-}
-
-std::optional<GroupView> ConsistentABD::view_covering(RingKey key) const {
-  const RangeState* r = covering_range(key);
-  if (r == nullptr) return std::nullopt;
-  return r->view;
-}
-
-std::vector<KeyState> ConsistentABD::dump_range(RingKey lo, RingKey hi) const {
+std::vector<KeyState> ConsistentABD::dump_range(const GroupView& range) const {
   std::vector<KeyState> out;
   for (const auto& [k, rep] : store_) {
-    if (in_interval_oc(lo, hi, k)) out.push_back(KeyState{k, rep.tag, rep.value});
+    if (range.covers(k)) out.push_back(KeyState{k, rep.tag, rep.value});
   }
   return out;
 }
@@ -251,28 +220,18 @@ std::uint64_t ConsistentABD::next_ballot_round(const Reconfig* prev) const {
 }
 
 void ConsistentABD::install_view(const GroupView& view, const std::vector<KeyState>& state) {
-  auto have = ranges_.find(view.hi);
-  if (have != ranges_.end() && have->second.view.version >= view.version) return;
+  // A view already held is ignored (installing it again would drop its
+  // fence); the ranges it supersedes take their slots and proposals along.
+  const Supersede done = ranges_.supersede(view, Fence{}, [this, &view](const GroupView& old) {
+    std::erase_if(slots_, [&](const auto& s) {
+      return s.first.first == old.hi && s.first.second <= view.version;
+    });
+    auto rc = reconfigs_.find(old.hi);
+    if (rc != reconfigs_.end() && rc->second.target < view.version) reconfigs_.erase(rc);
+  });
+  if (done != Supersede::kStored) return;
   // Merge the transferred state by max tag: never regress a replica.
   for (const auto& ks : state) merge_newer(store_, ks.key, ks.tag, ks.value);
-  // Drop every older range this view supersedes: the same hi (member change)
-  // or a parent that covered this child's interval before a split. GC the
-  // consensus slots and proposals that belonged to the superseded ranges.
-  for (auto it = ranges_.begin(); it != ranges_.end();) {
-    if (it->second.view.version < view.version && it->second.view.covers(view.hi)) {
-      const RingKey hi = it->first;
-      for (auto s = slots_.begin(); s != slots_.end();) {
-        s = (s->first.first == hi && s->first.second <= view.version) ? slots_.erase(s)
-                                                                      : std::next(s);
-      }
-      auto rc = reconfigs_.find(hi);
-      if (rc != reconfigs_.end() && rc->second.target < view.version) reconfigs_.erase(rc);
-      it = ranges_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  ranges_[view.hi] = RangeState{view, /*fenced=*/false};
   ++counters_.views_installed;
   trigger(make_event<ViewUpdate>(view), views_);
 }
@@ -289,7 +248,7 @@ void ConsistentABD::evaluate_reconfigurations() {
   // it — e.g. a healed boundary node whose old group evicted it while it was
   // partitioned away. Pull copies from a successor (a replica of our
   // ranges); once installed, the member-change path below re-proposes us in.
-  if (ring.has_predecessor && covering_range(self_.key) == nullptr && !ring.successors.empty()) {
+  if (ring.has_predecessor && ranges_.covering(self_.key) == nullptr && !ring.successors.empty()) {
     const NodeRef& target = ring.successors[fetch_attempts_++ % ring.successors.size()];
     ++counters_.view_fetches;
     trigger(make_event<ViewFetchMsg>(self_.addr, target.addr, ring.predecessor.key, self_.key),
@@ -302,14 +261,14 @@ void ConsistentABD::evaluate_reconfigurations() {
   std::vector<RingKey> held;
   for (const auto& [hi, r] : ranges_) held.push_back(hi);
   for (RingKey hi : held) {
-    auto rit = ranges_.find(hi);
-    if (rit == ranges_.end() || !ring.responsible_for(hi)) continue;
-    const GroupView& cur = rit->second.view;
+    const RangeState* range = ranges_.find(hi);
+    if (range == nullptr || !ring.responsible_for(hi)) continue;
+    const GroupView& cur = range->view;
     auto rc = reconfigs_.find(hi);
     // A decided reconfiguration keeps retransmitting installs until every
     // child member acked — even after our own install replaced the range.
     if (rc != reconfigs_.end() && rc->second.stage == Reconfig::Stage::kInstall) {
-      if (now() - rc->second.last_driven >= params_.view_reconfig_period_ms) {
+      if (now() - rc->second.last_driven >= CatsParams::kViewReconfigPeriodMs) {
         send_installs(rc->second);
         rc->second.last_driven = now();
       }
@@ -341,8 +300,8 @@ void ConsistentABD::evaluate_reconfigurations() {
           // them at `target` would install nothing and leave the range
           // fenced for good.
           want = rc->second.proposed;
-        } else if (rit->second.fenced &&
-                   now() - rit->second.fenced_at >= params_.view_reconfig_period_ms) {
+        } else if (range->fenced &&
+                   now() - range->fenced_at >= CatsParams::kViewReconfigPeriodMs) {
           // Fenced for a whole reconfiguration round with no local proposal:
           // a remote proposal stalled, or it decided and the install that
           // would supersede this range never reached us. Re-propose the
@@ -364,7 +323,7 @@ void ConsistentABD::evaluate_reconfigurations() {
                    [](const GroupView& a, const GroupView& b) {
                      return a.lo == b.lo && a.hi == b.hi && same_member_set(a.members, b.members);
                    });
-    if (same_goal && now() - rc->second.last_driven < params_.view_reconfig_period_ms) {
+    if (same_goal && now() - rc->second.last_driven < CatsParams::kViewReconfigPeriodMs) {
       continue;  // in flight; give it a tick before bumping the ballot
     }
     Reconfig fresh;

@@ -32,8 +32,8 @@ BootstrapServer::BootstrapServer() {
     for (std::size_t i = 0; i < peers.size(); ++i) {
       std::swap(peers[i], peers[i + rng().next_below(peers.size() - i)]);
     }
-    if (peers.size() > params_.bootstrap_sample_size) {
-      peers.resize(params_.bootstrap_sample_size);
+    if (peers.size() > CatsParams::kBootstrapSampleSize) {
+      peers.resize(CatsParams::kBootstrapSampleSize);
     }
     trigger(make_event<BootstrapResponseMsg>(self_, req.source(), std::move(peers)), network_);
     // Register the requester provisionally: a node that asks right after is

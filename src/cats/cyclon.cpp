@@ -77,8 +77,8 @@ void CyclonOverlay::on_shuffle_round() {
   // peers).
   for (auto& e : cache_) ++e.age;
   cache_.erase(std::remove_if(cache_.begin(), cache_.end(),
-                              [this](const CyclonEntry& e) {
-                                return e.age > params_.cyclon_max_age;
+                              [](const CyclonEntry& e) {
+                                return e.age > CatsParams::kCyclonMaxAge;
                               }),
                cache_.end());
   if (cache_.empty()) return;

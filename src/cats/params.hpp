@@ -16,7 +16,7 @@ struct CatsParams {
 
   // CATS Ring.
   DurationMs stabilization_period_ms = 1000;
-  std::size_t successor_list_size = 8;
+  static constexpr std::size_t kSuccessorListSize = 8;
 
   // Cyclon overlay.
   DurationMs shuffle_period_ms = 1000;
@@ -25,7 +25,7 @@ struct CatsParams {
   // Entries older than this many shuffle rounds are purged: bounds how long
   // gossip keeps echoing descriptors of dead nodes (live nodes re-inject
   // themselves with age 0 on every shuffle they initiate).
-  std::uint32_t cyclon_max_age = 5;
+  static constexpr std::uint32_t kCyclonMaxAge = 5;
 
   // Ping failure detector.
   DurationMs fd_ping_period_ms = 1000;
@@ -41,18 +41,18 @@ struct CatsParams {
   // attempt inside the fence window of a single in-flight view change.
   // A lookup answered without an installed view (or with no group) is
   // re-asked after the same backoff, within the same attempt.
-  DurationMs fast_retry_backoff_ms = 50;
+  static constexpr DurationMs kFastRetryBackoffMs = 50;
 
   // Consistent-quorum view reconfiguration: how often a node re-evaluates
   // whether the views it is responsible for match the ring (drives splits on
   // join, member changes after eviction, catch-up fetches, and retransmits
   // of stalled proposals).
-  DurationMs view_reconfig_period_ms = 500;
+  static constexpr DurationMs kViewReconfigPeriodMs = 500;
 
   // Bootstrap.
   DurationMs keepalive_period_ms = 5000;
   DurationMs bootstrap_eviction_ms = 15000;
-  std::size_t bootstrap_sample_size = 8;
+  static constexpr std::size_t kBootstrapSampleSize = 8;
   // Periodic re-bootstrap: fresh peer samples re-seed the gossip overlay,
   // which is what lets disjoint rings (after a healed partition) or an
   // orphaned node (all neighbors suspected) find each other again and merge.

@@ -205,6 +205,8 @@ struct GroupView {
                              &GroupView::version, &GroupView::members);
   }
   bool covers(RingKey k) const { return in_interval_oc(lo, hi, k); }
+  /// Two ring arcs intersect exactly when one contains the other's end.
+  bool overlaps(const GroupView& o) const { return covers(o.hi) || o.covers(hi); }
   bool has_member(const Address& a) const {
     for (const auto& m : members) {
       if (m.addr == a) return true;

@@ -149,7 +149,7 @@ CatsRing::CatsRing() {
                                     [&n](const NodeRef& s) { return s.addr == n.addr; }),
                      succs_.end());
         succs_.insert(succs_.begin(), n);
-        if (succs_.size() > params_.successor_list_size) succs_.pop_back();
+        if (succs_.size() > CatsParams::kSuccessorListSize) succs_.pop_back();
         changed = true;
       }
     }
@@ -252,7 +252,7 @@ void CatsRing::adopt_successor_list(const NodeRef& head, const std::vector<NodeR
   std::vector<NodeRef> fresh;
   auto push = [this, &fresh](const NodeRef& n) {
     if (n.addr == self_.addr || !n.addr.valid()) return;
-    if (fresh.size() >= params_.successor_list_size) return;
+    if (fresh.size() >= CatsParams::kSuccessorListSize) return;
     const bool dup = std::any_of(fresh.begin(), fresh.end(),
                                  [&n](const NodeRef& f) { return f.addr == n.addr; });
     if (!dup) fresh.push_back(n);

@@ -25,7 +25,7 @@ OneHopRouter::OneHopRouter() {
 
   // Mirror the local ABD's installed quorum views.
   subscribe<ViewUpdate>(quorum_views_, [this](const ViewUpdate& vu) {
-    if (supersede(views_, vu.view, now())) {
+    if (store(views_, vu.view)) {
       for (const auto& m : vu.view.members) learn(m);
     }
   });
@@ -36,11 +36,11 @@ OneHopRouter::OneHopRouter() {
       handle_lookup_at_responsible(self_, req.id, req.key);
       return;
     }
-    auto hit = covering(learned_, req.key);
-    if (hit != learned_.end() && req.fresh) {
+    const Views::Entry* hit = learned_.covering(req.key);
+    if (hit != nullptr && req.fresh) {
       ++counters_.fresh_evictions;
-      learned_.erase(hit);  // re-route; the answer refills the entry
-    } else if (hit != learned_.end()) {
+      learned_.erase(hit->view.hi);  // re-route; the answer refills the entry
+    } else if (hit != nullptr) {
       // Safe however stale the entry is: an answer routed fresh is already
       // stale by the time the phase messages land, and the replica gate
       // (abd.cpp: version equal, unfenced, member) is what keeps quorums
@@ -48,7 +48,7 @@ OneHopRouter::OneHopRouter() {
       // fresh; the cache only lengthens a staleness the asynchronous model
       // already allows.
       ++counters_.lookups_cached;
-      trigger(make_event<LookupResponse>(req.id, req.key, hit->second.view), router_);
+      trigger(make_event<LookupResponse>(req.id, req.key, hit->view), router_);
       return;
     }
     protocol::spawn(relay_lookup(req.id, req.key, req.fresh));
@@ -109,7 +109,7 @@ protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, bool fres
   // Bug emulation (params.hpp): the stale-view router had no cache, so
   // learned_ stays empty.
   if (msg.view.version != 0 && !params_.inject_stale_view_bug &&
-      supersede(learned_, msg.view, now())) {
+      store(learned_, msg.view)) {
     ++counters_.views_learned;
   }
   trigger(make_event<LookupResponse>(msg.op, msg.key, msg.view), router_);
@@ -127,49 +127,14 @@ void OneHopRouter::evict_stale() {
   for (auto it = table_.begin(); it != table_.end();) {
     it = it->second.last_heard < cutoff ? table_.erase(it) : std::next(it);
   }
-  for (auto it = learned_.begin(); it != learned_.end();) {
-    it = it->second.since < cutoff ? learned_.erase(it) : std::next(it);
-  }
-}
-
-namespace {
-bool overlap(const GroupView& a, const GroupView& b) {
-  // Two ring arcs intersect exactly when one contains the other's end.
-  return a.covers(b.hi) || b.covers(a.hi);
-}
-}  // namespace
-
-bool OneHopRouter::supersede(ViewMap& views, const GroupView& view, TimeMs at) {
-  for (const auto& [hi, known] : views) {
-    const GroupView& have = known.view;
-    if (!overlap(have, view)) continue;
-    const bool same_range = have.lo == view.lo && have.hi == view.hi;
-    if (have.version > view.version || (have.version == view.version && !same_range)) {
-      return false;
-    }
-  }
-  for (auto it = views.begin(); it != views.end();) {
-    it = overlap(it->second.view, view) ? views.erase(it) : std::next(it);
-  }
-  views.emplace(view.hi, KnownView{view, at});
-  return true;
-}
-
-OneHopRouter::ViewMap::iterator OneHopRouter::covering(ViewMap& views, RingKey key) {
-  // Entries are disjoint, so the only candidate is the first one ending at
-  // or after the key, or else the first one overall (a range that wraps
-  // past zero, or the full ring).
-  auto it = views.lower_bound(key);
-  if (it == views.end()) it = views.begin();
-  return it != views.end() && it->second.view.covers(key) ? it : views.end();
+  learned_.erase_if([cutoff](const Views::Entry& e) { return e.since < cutoff; });
 }
 
 GroupView OneHopRouter::authoritative_view(RingKey key) {
   // Bug emulation (params.hpp): the pre-consistent-quorums router answered
   // lookups from the raw ring neighborhood, never from installed views.
   if (!params_.inject_stale_view_bug) {
-    auto it = covering(views_, key);
-    if (it != views_.end()) return it->second.view;
+    if (const Views::Entry* e = views_.covering(key)) return e->view;
   }
   const RingNeighborhood& v = ring_view_;
   return GroupView{v.has_predecessor ? v.predecessor.key : self_.key, self_.key, 0,
@@ -194,25 +159,10 @@ std::vector<std::string> OneHopRouter::invariant_violations() const {
       out.push_back("router: table contains this node itself (key " + std::to_string(k) + ")");
     }
   }
-  // Installed and learned views must each be pairwise disjoint: overlapping
-  // entries would let two lookups for the same key resolve to different
-  // replica groups (split-brain at the routing layer), and covering() relies
-  // on it.
-  auto check_disjoint = [&out](const ViewMap& views, const char* what) {
-    for (auto a = views.begin(); a != views.end(); ++a) {
-      for (auto b = std::next(a); b != views.end(); ++b) {
-        const GroupView& x = a->second.view;
-        const GroupView& y = b->second.view;
-        if (!overlap(x, y)) continue;
-        out.push_back(std::string("router: ") + what + " views overlap: (" +
-                      std::to_string(x.lo) + ", " + std::to_string(x.hi) + "]@v" +
-                      std::to_string(x.version) + " and (" + std::to_string(y.lo) + ", " +
-                      std::to_string(y.hi) + "]@v" + std::to_string(y.version));
-      }
-    }
-  };
-  check_disjoint(views_, "installed");
-  check_disjoint(learned_, "learned");
+  // Overlapping views would let two lookups for one key resolve to different
+  // replica groups (split-brain at the routing layer).
+  views_.check_disjoint("router: installed", out);
+  learned_.check_disjoint("router: learned", out);
   return out;
 }
 

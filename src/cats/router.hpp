@@ -25,18 +25,19 @@
 // churn (samples keep refreshing live ones).
 //
 // Learned views: the origin of a relayed lookup keeps the versioned view the
-// responsible node answered with, one entry per range, and answers later
-// lookups for any key of that range locally for kEntryTtlMs. Replicas ack
-// only their exact installed, unfenced view version, so a stale entry costs
-// the operation one failed attempt; the retry asks `fresh` and re-routes.
+// responsible node answered with (by the supersede rule of view_table.hpp,
+// like the installed views) and answers later lookups for any key of that
+// range locally for kEntryTtlMs, restarted when the view is answered again.
+// Replicas ack only their exact installed, unfenced view version, so a stale
+// entry costs the operation one failed attempt; the retry asks `fresh`.
 
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "cats/messages.hpp"
 #include "cats/params.hpp"
 #include "cats/ports.hpp"
+#include "cats/view_table.hpp"
 #include "kompics/component.hpp"
 #include "kompics/kompics.hpp"
 #include "kompics/protocol.hpp"
@@ -83,19 +84,17 @@ class OneHopRouter : public ComponentDefinition {
   std::vector<std::string> invariant_violations() const;
 
  private:
-  struct KnownView {
-    GroupView view;
-    TimeMs since = 0;  // when it was installed or learned
+  struct Seen {
+    TimeMs since = 0;  // when the view was last installed or learned
   };
-  /// Views keyed by `hi`, pairwise disjoint.
-  using ViewMap = std::map<RingKey, KnownView>;
-  /// The supersede rule both view maps follow: `view` replaces every
-  /// overlapping entry of a lower version (same range after a member change,
-  /// or the parent of a split), and is refused when an overlapping entry is
-  /// newer (or a different range at the same version). Returns whether the
-  /// view was stored.
-  static bool supersede(ViewMap& views, const GroupView& view, TimeMs at);
-  static ViewMap::iterator covering(ViewMap& views, RingKey key);
+  using Views = ViewTable<Seen>;
+  /// Stores `view` by the supersede rule, refreshing an identical one's
+  /// timestamp. Returns whether the view is now held.
+  bool store(Views& views, const GroupView& view) {
+    const Supersede done = views.supersede(view, Seen{now()});
+    if (done == Supersede::kSame) views.find(view.hi)->since = now();
+    return done != Supersede::kRefused;
+  }
 
   /// Forwards a lookup we are not responsible for, awaits the remote answer
   /// (correlated by op id), learns the group and relays it to the local
@@ -142,10 +141,10 @@ class OneHopRouter : public ComponentDefinition {
   // answered with version 0, which tells the coordinator that no view
   // backs the range yet: it must not run quorum phases under it, and
   // re-asks (abd.cpp).
-  ViewMap views_;
+  Views views_;
   // Versioned views learned from relayed lookup answers; expire after
   // kEntryTtlMs. Bypassed under the inject_stale_view_bug emulation.
-  ViewMap learned_;
+  Views learned_;
   Counters counters_;
 };
 

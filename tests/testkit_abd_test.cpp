@@ -294,7 +294,7 @@ TEST_F(AbdDslTest, UnversionedLookupAnswerIsReaskedWithinTheAttempt) {
         return r.ok && !r.found && r.id == 8;
       })
       .exec([&] {
-        EXPECT_GE(reasked - start, 50) << "the re-ask waits out fast_retry_backoff_ms";
+        EXPECT_GE(reasked - start, 50) << "the re-ask waits out CatsParams::kFastRetryBackoffMs";
         EXPECT_LT(answered - start, 250) << "finished well before the 1000 ms attempt deadline";
         EXPECT_EQ(abd().counters().retries, 0u);
         EXPECT_EQ(abd().counters().lookup_reasks, 1u);

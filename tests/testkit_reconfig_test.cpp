@@ -90,6 +90,33 @@ TEST_F(ReconfigDslTest, ReplicaGateNacksWrongViewsAndFencedRanges) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
+TEST_F(ReconfigDslTest, StaleParentIsNotInstalledNextToItsNewerChild) {
+  // A delayed install of the parent (50, 100]@v4 lands after its split child
+  // (50, 80]@v5. Installed next to the child, it would keep acking phases
+  // under v4 for the keys in (80, 100] that the v5 split handed to another
+  // group. The supersede rule refuses it: an overlapping view is newer.
+  ctx->allow<ViewInstallAckMsg>(net);
+  ctx->trigger(net, make_event<ViewInstallMsg>(reconfigurer, self.addr, /*parent_hi=*/100,
+                                               GroupView{50, 80, 5, {self}},
+                                               std::vector<KeyState>{}))
+      .trigger(net, make_event<ViewInstallMsg>(reconfigurer, self.addr, /*parent_hi=*/100,
+                                               GroupView{50, 100, 4, {self}},
+                                               std::vector<KeyState>{}))
+      .trigger(net, replica_read(0xCAF0005, 90, 4))
+      .expect<AbdNackMsg>(net, [](const AbdNackMsg& m) { return m.current_version == 0; })
+      .exec([&] {
+        EXPECT_FALSE(abd().view_covering(90).has_value());
+        EXPECT_EQ(abd().counters().views_installed, 1u);
+        EXPECT_TRUE(abd().invariant_violations().empty());
+        const auto child = abd().view_covering(70);
+        ASSERT_TRUE(child.has_value());
+        EXPECT_EQ(child->version, 5u);
+      });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
 TEST_F(ReconfigDslTest, NackMajorityTriggersFastRetryAfterBackoff) {
   LookupRequest lookup{0, 0};
   LookupRequest retry_lookup{0, 0};
@@ -198,7 +225,6 @@ TEST_F(ReconfigDslTest, ProposalOvertakenByAnotherInstallIsNotResumed) {
   // left to propose. Resuming the lost proposal at version 13 would fence
   // the range and then install its version-12 children, which changes
   // nothing, so the range would stay fenced for good.
-  const CatsParams params;
   const NodeRef pred{50, Address::node(50)};
   const NodeRef a{200, Address::node(2)}, b{300, Address::node(3)};
   const NodeRef x{400, Address::node(4)}, y{500, Address::node(5)};
@@ -245,7 +271,7 @@ TEST_F(ReconfigDslTest, ProposalOvertakenByAnotherInstallIsNotResumed) {
                                                std::vector<KeyState>{}))
       // The next ring view re-evaluates the range: it matches the ring.
       .trigger(ring, make_event<RingView>(self, pred, true, std::vector<NodeRef>{a, b}, false, 2))
-      .expect_silence(params.view_reconfig_period_ms)
+      .expect_silence(CatsParams::kViewReconfigPeriodMs)
       .exec([&] {
         const auto v = abd().view_covering(100);
         ASSERT_TRUE(v.has_value());
